@@ -54,30 +54,13 @@ class SofdaSolver final : public Solver {
       pricing_.invalidate();
       epoch_priced_ = false;
     }
-
-    util::Stopwatch watch;
-    std::vector<core::PricedChain> candidates;
-    if (opt_.incremental_pricing) {
+    return price_and_solve(p, closure, r, [&](core::PricingTally& tally) {
       // The pricing cache must observe every closure change exactly once;
       // acquire() just ran, so last_update() is this solve's delta.
-      core::PricingTally tally;
       const core::ClosureUpdate update = session_.last_update();
-      candidates = core::price_candidate_chains(p, closure, p.sources, opt_.algo(),
-                                                opt_.threads, &pricing_, &update, &tally);
-      r.pricing_hits = tally.hits;
-      r.pricing_repriced = tally.repriced;
-      r.pricing_flushed = tally.flushed;
-    } else {
-      // Closure changes now go unobserved: restart the cache cold if the
-      // knob is ever flipped back on.
-      pricing_.invalidate();
-      candidates = core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads);
-    }
-    r.pricing_seconds = watch.seconds();
-    watch.reset();
-    ServiceForest f = core::sofda_from_candidates(p, closure, candidates, opt_.algo(), &r.sofda);
-    r.solve_seconds = watch.seconds();
-    return f;
+      return core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads,
+                                          &pricing_, &update, &tally);
+    });
   }
 
   ServiceForest do_solve_epoch(const Problem& p, const ClosureEpoch& epoch,
@@ -97,20 +80,34 @@ class SofdaSolver final : public Solver {
     r.closure_hubs = static_cast<int>(closure.hub_count());
     r.closure_cache_hit = epoch.update.kind == core::ClosureUpdate::Kind::kUnchanged;
     r.closure_repaired = epoch.update.kind == core::ClosureUpdate::Kind::kRepaired;
+    return price_and_solve(p, closure, r, [&](core::PricingTally& tally) {
+      // Fork-from-epoch pricing (DESIGN.md §10): the epoch's one update
+      // reaches every worker; price_epoch dedups it by generation.
+      epoch_priced_ = true;
+      return pricing_.price_epoch(p, closure, p.sources, epoch.generation, epoch.update,
+                                  opt_.algo(), opt_.threads, &tally);
+    });
+  }
 
+ private:
+  /// The tail both entry points share: price the candidate chains against
+  /// `closure` — through `price_cached`, the caller's feed of the
+  /// repair-aware cache, unless incremental_pricing is off — then run
+  /// sofda_from_candidates over them.
+  template <typename PriceCachedFn>
+  ServiceForest price_and_solve(const Problem& p, const graph::MetricClosure& closure,
+                                SolveReport& r, const PriceCachedFn& price_cached) {
     util::Stopwatch watch;
     std::vector<core::PricedChain> candidates;
     if (opt_.incremental_pricing) {
-      // Fork-from-epoch pricing (DESIGN.md §10): the epoch's one update
-      // reaches every worker; price_epoch dedups it by generation.
       core::PricingTally tally;
-      candidates = pricing_.price_epoch(p, closure, p.sources, epoch.generation, epoch.update,
-                                        opt_.algo(), opt_.threads, &tally);
+      candidates = price_cached(tally);
       r.pricing_hits = tally.hits;
       r.pricing_repriced = tally.repriced;
       r.pricing_flushed = tally.flushed;
-      epoch_priced_ = true;
     } else {
+      // Closure changes now go unobserved: restart the cache cold if the
+      // knob is ever flipped back on.
       pricing_.invalidate();
       candidates = core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads);
     }
@@ -121,7 +118,6 @@ class SofdaSolver final : public Solver {
     return f;
   }
 
- private:
   std::string name_;
   ClosureSession session_;
   core::PricingSession pricing_;

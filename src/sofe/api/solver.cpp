@@ -30,35 +30,33 @@ namespace sofe::api {
 ClosureSession::ClosureSession() = default;
 ClosureSession::~ClosureSession() = default;
 
-template <typename StoredFn>
 void ClosureSession::plan_retention(const std::vector<NodeId>& hubs, int retention,
-                                    std::size_t stored_rows, const StoredFn& stored,
-                                    SolveReport& report) {
+                                    const graph::MetricClosure& stored, SolveReport& report) {
   // keep = requested hubs (duplicates fine; retain dedupes) + up to
   // `retention` stored LRU hubs, most recently requested first.  Every
   // stored hub is requested, retained or evicted — the tallies below
-  // partition `stored_rows` accordingly.
+  // partition the stored rows accordingly.
   keep_.assign(hubs.begin(), hubs.end());
   const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
   const std::unordered_set<NodeId> prev(key_hubs_.begin(), key_hubs_.end());
   std::size_t requested_stored = 0;
   int hits = 0;
   for (NodeId h : requested) {
-    if (!stored(h)) continue;
+    if (!stored.is_hub(h)) continue;
     ++requested_stored;
     if (!prev.contains(h)) ++hits;  // a Dijkstra the window saved
   }
   int retained = 0;
   for (NodeId h : lru_) {
     if (retained >= retention) break;
-    if (requested.contains(h) || !stored(h)) continue;
+    if (requested.contains(h) || !stored.is_hub(h)) continue;
     keep_.push_back(h);
     ++retained;
   }
   report.closure_row_hits = hits;
   report.closure_rows_retained = retained;
   report.closure_rows_evicted =
-      static_cast<int>(stored_rows - requested_stored) - retained;
+      static_cast<int>(stored.hub_count() - requested_stored) - retained;
 }
 
 void ClosureSession::touch_lru(const std::vector<NodeId>& hubs, int retention) {
@@ -80,10 +78,11 @@ void ClosureSession::touch_lru(const std::vector<NodeId>& hubs, int retention) {
   lru_ = std::move(next);
 }
 
-const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
-                                                    const std::vector<NodeId>& hubs,
-                                                    const ClosureRequest& req,
-                                                    SolveReport& report) {
+template <typename RepairFn, typename RebuildFn>
+void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeId>& hubs,
+                                  const ClosureRequest& req, const graph::MetricClosure* stored,
+                                  bool reusable, bool match_targets, SolveReport& report,
+                                  const RepairFn& repair, const RebuildFn& rebuild) {
   report.closure_hubs = static_cast<int>(hubs.size());
   const bool window = req.incremental && !req.bounded;  // retention applies
   const auto edges = g.edges();
@@ -92,7 +91,7 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
   // compared edge by edge below, and the differing ones ARE the arc-delta
   // list the repair path consumes.
   const bool structure_same =
-      valid_ && closure_.bounded() == req.bounded && key_nodes_ == g.node_count() &&
+      stored != nullptr && reusable && key_nodes_ == g.node_count() &&
       key_edges_.size() == edges.size() &&
       std::equal(edges.begin(), edges.end(), key_edges_.begin(),
                  [](const graph::Edge& a, const graph::Edge& b) {
@@ -109,20 +108,20 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
                                                key_edges_[i].cost, edges[i].cost});
       }
     }
-    if (req.incremental && !req.bounded) {
+    if (window) {
       // Union semantics: only hubs without a stored tree matter.  Stale
       // extra hubs from earlier acquires are invisible to queries (each
       // tree is independent) and get repaired along with the rest.
       for (NodeId h : hubs) {
-        if (!closure_.is_hub(h)) missing_.push_back(h);
+        if (!stored->is_hub(h)) missing_.push_back(h);
       }
       hubs_ok = missing_.empty();
     } else {
-      // Strict semantics: the exact hub sequence (and, when bounded, the
-      // exact settle-target sequence — the truncation scope is part of
-      // what the cached trees mean).
+      // Strict semantics: the exact hub sequence (and, when the targets
+      // shape the build, the exact settle-target sequence — a bounded
+      // truncation scope is part of what the cached trees mean).
       hubs_ok = key_hubs_ == hubs &&
-                (!req.bounded ||
+                (!match_targets ||
                  (key_targets_.size() == req.settle_targets.size() &&
                   std::equal(key_targets_.begin(), key_targets_.end(),
                              req.settle_targets.begin())));
@@ -132,7 +131,6 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
 
   row_changes_.clear();
   added_hubs_.clear();
-  const auto is_stored = [this](NodeId h) { return closure_.is_hub(h); };
   if (structure_same && hubs_ok && deltas_.empty()) {
     report.closure_cache_hit = true;
     last_kind_ = core::ClosureUpdate::Kind::kUnchanged;
@@ -143,12 +141,10 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
       for (NodeId h : requested) {
         if (!prev.contains(h)) ++report.closure_row_hits;
       }
-      report.closure_rows_retained =
-          static_cast<int>(closure_.hub_count() - requested.size());
+      report.closure_rows_retained = static_cast<int>(stored->hub_count() - requested.size());
       touch_lru(hubs, req.retention);
     }
-    report.closure_bytes = closure_.memory_bytes();
-    return closure_;
+    return;
   }
   report.closure_cache_hit = false;
 
@@ -162,12 +158,10 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
       structure_same && window && deltas_.size() * 4 <= edges.size();
   if (repairable) {
     // Keep the requested hubs plus the retention window's warm rows;
-    // everything kept is revalidated by the refresh below, so a retained
-    // hub that returns later is served already-repaired (a row hit).
-    plan_retention(hubs, req.retention, closure_.hub_count(), is_stored, report);
-    closure_.retain(keep_);
-    closure_.refresh(g, deltas_, req.threads, &engine_, &row_changes_);
-    if (!missing_.empty()) closure_.extend(g, missing_, req.threads, &engine_);
+    // everything kept is revalidated by the repair, so a retained hub
+    // that returns later is served already-repaired (a row hit).
+    plan_retention(hubs, req.retention, *stored, report);
+    repair();
     added_hubs_ = missing_;
     last_kind_ = core::ClosureUpdate::Kind::kRepaired;
     report.closure_repaired = true;
@@ -180,24 +174,41 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
     // must not falsely hit on a closure whose trees changed.
     key_hubs_ = hubs;
   } else {
-    if (window && valid_) {
-      report.closure_rows_evicted = static_cast<int>(closure_.hub_count());
+    if (window && stored != nullptr) {
+      report.closure_rows_evicted = static_cast<int>(stored->hub_count());
     }
-    graph::ClosureScope scope;
-    scope.bounded = req.bounded;
-    scope.extra_targets = req.settle_targets;
-    closure_.build(g, hubs, req.threads, &engine_, scope);
+    rebuild();
     last_kind_ = core::ClosureUpdate::Kind::kRebuilt;
     key_nodes_ = g.node_count();
     key_edges_.assign(edges.begin(), edges.end());
     key_hubs_ = hubs;
     key_targets_.assign(req.settle_targets.begin(), req.settle_targets.end());
-    valid_ = true;
-    sharded_valid_ = false;  // the key storage no longer describes the sharded cache
   }
   if (window) touch_lru(hubs, req.retention);
-  report.closure_bytes = closure_.memory_bytes();
   report.closure_seconds = watch.seconds();
+}
+
+const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
+                                                    const std::vector<NodeId>& hubs,
+                                                    const ClosureRequest& req,
+                                                    SolveReport& report) {
+  acquire_with(
+      g, hubs, req, valid_ ? &closure_ : nullptr, closure_.bounded() == req.bounded,
+      /*match_targets=*/req.bounded, report,
+      [&] {
+        closure_.retain(keep_);
+        closure_.refresh(g, deltas_, req.threads, &engine_, &row_changes_);
+        if (!missing_.empty()) closure_.extend(g, missing_, req.threads, &engine_);
+      },
+      [&] {
+        graph::ClosureScope scope;
+        scope.bounded = req.bounded;
+        scope.extra_targets = req.settle_targets;
+        closure_.build(g, hubs, req.threads, &engine_, scope);
+        valid_ = true;
+        sharded_valid_ = false;  // the key storage no longer describes the sharded cache
+      });
+  report.closure_bytes = closure_.memory_bytes();
   return closure_;
 }
 
@@ -205,116 +216,44 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
     const graph::Graph& g, const std::vector<NodeId>& hubs, int controllers,
     const ClosureRequest& req, dist::MessageBus& bus, SolveReport& report) {
   assert(controllers >= 1);
-  report.closure_hubs = static_cast<int>(hubs.size());
-  const bool window = req.incremental && !req.bounded;
-  const auto edges = g.edges();
-
   // Same exact key as acquire(), plus the controller count: a different k
   // means a different partition, different borders, a different exchange —
-  // the cached shards describe nothing of the new deployment.
-  const bool structure_same =
-      sharded_valid_ && sharded_ != nullptr && sharded_->bounded() == req.bounded &&
-      sharded_k_ == controllers && key_nodes_ == g.node_count() &&
-      key_edges_.size() == edges.size() &&
-      std::equal(edges.begin(), edges.end(), key_edges_.begin(),
-                 [](const graph::Edge& a, const graph::Edge& b) {
-                   return a.u == b.u && a.v == b.v;
-                 });
-
-  deltas_.clear();
-  missing_.clear();
-  bool hubs_ok = false;
-  if (structure_same) {
-    for (std::size_t i = 0; i < edges.size(); ++i) {
-      if (edges[i].cost != key_edges_[i].cost) {
-        deltas_.push_back(graph::EdgeCostDelta{static_cast<graph::EdgeId>(i),
-                                               key_edges_[i].cost, edges[i].cost});
-      }
-    }
-    if (req.incremental && !req.bounded) {
-      for (NodeId h : hubs) {
-        if (!sharded_->closure().is_hub(h)) missing_.push_back(h);
-      }
-      hubs_ok = missing_.empty();
-    } else {
-      hubs_ok = key_hubs_ == hubs && key_targets_.size() == req.settle_targets.size() &&
-                std::equal(key_targets_.begin(), key_targets_.end(), req.settle_targets.begin());
-    }
-  }
-  report.closure_delta_edges = static_cast<int>(deltas_.size());
-
-  row_changes_.clear();
-  added_hubs_.clear();
-  const auto is_stored = [this](NodeId h) { return sharded_->closure().is_hub(h); };
-  if (structure_same && hubs_ok && deltas_.empty()) {
-    report.closure_cache_hit = true;
-    last_kind_ = core::ClosureUpdate::Kind::kUnchanged;
-    if (window) {
-      const std::unordered_set<NodeId> prev(key_hubs_.begin(), key_hubs_.end());
-      const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
-      for (NodeId h : requested) {
-        if (!prev.contains(h)) ++report.closure_row_hits;
-      }
-      report.closure_rows_retained =
-          static_cast<int>(sharded_->closure().hub_count() - requested.size());
-      touch_lru(hubs, req.retention);
-    }
-    report.closure_bytes = sharded_->memory_bytes();
-    return *sharded_;
-  }
-  report.closure_cache_hit = false;
-
-  const util::Stopwatch watch;
-  g.ensure_csr();
-
-  const bool repairable =
-      structure_same && window && deltas_.size() * 4 <= edges.size();
-  if (repairable) {
-    // retain -> refresh -> extend, every re-exchanged row charged on `bus`
-    // by the ShardedClosure itself.  refresh clears `row_changes_` before
-    // filling it; extend appends, so the combined list is this solve's
-    // pricing-invalidation feed.  The keep-list includes the retention
-    // window: a retained source hub that returns next acquire is NOT
-    // missing, so no controller re-ships its rows (tested).
-    plan_retention(hubs, req.retention, sharded_->closure().hub_count(), is_stored, report);
-    sharded_->retain(keep_);
-    if (!deltas_.empty()) sharded_->refresh(g, deltas_, req.threads, bus, &row_changes_);
-    if (!missing_.empty()) sharded_->extend(g, hubs, req.threads, bus, &row_changes_);
-    added_hubs_ = missing_;
-    last_kind_ = core::ClosureUpdate::Kind::kRepaired;
-    report.closure_repaired = true;
-    report.closure_hubs_added = static_cast<int>(missing_.size());
-    for (const graph::EdgeCostDelta& d : deltas_) {
-      key_edges_[static_cast<std::size_t>(d.edge)].cost = d.new_cost;
-    }
-    key_hubs_ = hubs;
-  } else {
-    if (window && sharded_valid_ && sharded_ != nullptr) {
-      report.closure_rows_evicted = static_cast<int>(sharded_->closure().hub_count());
-    }
-    // Cold rebuild: the coordinator re-partitions and ships each peer its
-    // assignment (one protocol round), then the sharded build runs its
-    // charged border/hub row exchange.
-    dist::Partition part = dist::partition_bfs(g, controllers);
-    if (controllers > 1) {
-      bus.broadcast(static_cast<std::size_t>(controllers - 1),
-                    static_cast<std::size_t>(g.node_count()));
-      bus.end_round();
-    }
-    if (sharded_ == nullptr) sharded_ = std::make_unique<dist::ShardedClosure>();
-    sharded_->build(g, std::move(part), hubs, req.settle_targets, req.threads, bus, req.bounded);
-    last_kind_ = core::ClosureUpdate::Kind::kRebuilt;
-    key_nodes_ = g.node_count();
-    key_edges_.assign(edges.begin(), edges.end());
-    key_hubs_ = hubs;
-    key_targets_.assign(req.settle_targets.begin(), req.settle_targets.end());
-    sharded_k_ = controllers;
-    sharded_valid_ = true;
-    valid_ = false;  // the key storage no longer describes the plain cache
-  }
-  if (window) touch_lru(hubs, req.retention);
+  // the cached shards describe nothing of the new deployment.  The settle
+  // targets are the advertisement targets, so they key bounded or not.
+  const bool cached = sharded_valid_ && sharded_ != nullptr;
+  acquire_with(
+      g, hubs, req, cached ? &sharded_->closure() : nullptr,
+      cached && sharded_->bounded() == req.bounded && sharded_k_ == controllers,
+      /*match_targets=*/true, report,
+      [&] {
+        // Every re-exchanged row is charged on `bus` by the ShardedClosure
+        // itself.  refresh clears `row_changes_` before filling it; extend
+        // appends, so the combined list is this solve's pricing-
+        // invalidation feed.  The keep-list includes the retention window:
+        // a retained source hub that returns next acquire is NOT missing,
+        // so no controller re-ships its rows (tested).
+        sharded_->retain(keep_);
+        if (!deltas_.empty()) sharded_->refresh(g, deltas_, req.threads, bus, &row_changes_);
+        if (!missing_.empty()) sharded_->extend(g, hubs, req.threads, bus, &row_changes_);
+      },
+      [&] {
+        // Cold rebuild: the coordinator re-partitions and ships each peer
+        // its assignment (one protocol round), then the sharded build runs
+        // its charged border/hub row exchange.
+        dist::Partition part = dist::partition_bfs(g, controllers);
+        if (controllers > 1) {
+          bus.broadcast(static_cast<std::size_t>(controllers - 1),
+                        static_cast<std::size_t>(g.node_count()));
+          bus.end_round();
+        }
+        if (sharded_ == nullptr) sharded_ = std::make_unique<dist::ShardedClosure>();
+        sharded_->build(g, std::move(part), hubs, req.settle_targets, req.threads, bus,
+                        req.bounded);
+        sharded_k_ = controllers;
+        sharded_valid_ = true;
+        valid_ = false;  // the key storage no longer describes the plain cache
+      });
   report.closure_bytes = sharded_->memory_bytes();
-  report.closure_seconds = watch.seconds();
   return *sharded_;
 }
 
@@ -338,12 +277,13 @@ ClosureEpoch ClosureSession::publish(const graph::Graph& g, const std::vector<No
   return epoch;
 }
 
-ServiceForest Solver::solve(const Problem& p) {
+template <typename BodyFn>
+ServiceForest Solver::solve_reported(const Problem& p, const BodyFn& body) {
   assert(p.well_formed());
   report_ = SolveReport{};
   report_.solver = std::string(name());
   const util::Stopwatch watch;
-  ServiceForest f = do_solve(p, report_);
+  ServiceForest f = body();
   report_.total_seconds = watch.seconds();
   report_.feasible = !f.empty();
   report_.total_cost = report_.feasible ? core::total_cost(p, f) : 0.0;
@@ -351,19 +291,14 @@ ServiceForest Solver::solve(const Problem& p) {
   return f;
 }
 
+ServiceForest Solver::solve(const Problem& p) {
+  return solve_reported(p, [&] { return do_solve(p, report_); });
+}
+
 ServiceForest Solver::solve_epoch(const Problem& p, const ClosureEpoch& epoch) {
-  assert(p.well_formed());
   assert((!wants_epoch_closure() || epoch.closure != nullptr) &&
          "this solver prices against the published closure");
-  report_ = SolveReport{};
-  report_.solver = std::string(name());
-  const util::Stopwatch watch;
-  ServiceForest f = do_solve_epoch(p, epoch, report_);
-  report_.total_seconds = watch.seconds();
-  report_.feasible = !f.empty();
-  report_.total_cost = report_.feasible ? core::total_cost(p, f) : 0.0;
-  if (sink_ != nullptr) sink_->add(report_);
-  return f;
+  return solve_reported(p, [&] { return do_solve_epoch(p, epoch, report_); });
 }
 
 }  // namespace sofe::api

@@ -75,7 +75,7 @@ struct SolverOptions {
   /// panel).  Off restores per-solve from-scratch pricing.
   bool incremental_pricing = true;
   /// Build session closures bounded: every hub tree stops once all hubs and
-  /// all destinations are settled (run_until_settled).  Exact for every
+  /// all destinations are settled (run_into's stop targets).  Exact for every
   /// query SOFDA pricing and re-homing perform, and cheaper on large graphs
   /// with clustered hubs, but truncated trees cannot be repaired — bounded
   /// sessions rebuild on every cost change, so prefer `incremental` for
@@ -295,19 +295,28 @@ class ClosureSession {
     published_ = false;
   }
 
-  /// The session's single-thread build engine (exposed so solvers can run
-  /// auxiliary queries against persistent workspaces).
-  graph::ShortestPathEngine& engine() noexcept { return engine_; }
-
  private:
+  /// The cache decision both acquires share: compares the exact key with
+  /// (g, hubs, req), collects deltas_ and missing_, and decides hit,
+  /// repair or rebuild — filling the report's closure tallies,
+  /// last_update(), the key and the LRU list along the way.  `stored` is
+  /// the mode's cached closure view (nullptr when that cache is invalid),
+  /// `reusable` whether its flavour (bounded, k) fits the request, and
+  /// `match_targets` whether the strict key includes the settle targets.
+  /// Only the mode's own work is delegated: `repair` retains keep_,
+  /// refreshes deltas_ and extends missing_; `rebuild` builds cold over
+  /// `hubs` and sets the mode's validity flags.
+  template <typename RepairFn, typename RebuildFn>
+  void acquire_with(const graph::Graph& g, const std::vector<NodeId>& hubs,
+                    const ClosureRequest& req, const graph::MetricClosure* stored, bool reusable,
+                    bool match_targets, SolveReport& report, const RepairFn& repair,
+                    const RebuildFn& rebuild);
   /// The retain keep-list of a repair-path acquire: the requested hubs
-  /// plus up to `retention` stored LRU hubs.  Fills `keep_` (scratch) and
-  /// the report's row-hit/retained/evicted tallies; `stored` answers
-  /// whether a hub currently has a row, `stored_rows` is the row count
-  /// before retention runs.
-  template <typename StoredFn>
-  void plan_retention(const std::vector<NodeId>& hubs, int retention, std::size_t stored_rows,
-                      const StoredFn& stored, SolveReport& report);
+  /// plus up to `retention` LRU hubs with a row in `stored` (the closure
+  /// before retention runs).  Fills `keep_` (scratch) and the report's
+  /// row-hit/retained/evicted tallies.
+  void plan_retention(const std::vector<NodeId>& hubs, int retention,
+                      const graph::MetricClosure& stored, SolveReport& report);
   /// Moves this acquire's hubs to the front of the LRU recency list and
   /// prunes the tail (bounded by the retention window).
   void touch_lru(const std::vector<NodeId>& hubs, int retention);
@@ -404,6 +413,12 @@ class Solver {
   SolverOptions opt_;
 
  private:
+  /// The report wrapper both entry points share: zeroes the report, runs
+  /// `body` (do_solve or do_solve_epoch), then fills
+  /// feasible/total_cost/total_seconds and feeds the sink.
+  template <typename BodyFn>
+  ServiceForest solve_reported(const Problem& p, const BodyFn& body);
+
   SolveReport report_;
   ReportAccumulator* sink_ = nullptr;
 };

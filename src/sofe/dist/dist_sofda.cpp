@@ -39,7 +39,7 @@ DistSofdaResult distributed_sofda_with(const core::Problem& p, const ShardedClos
   }
 
   // --- Per-controller chain pricing against the stitched closure (no
-  // per-pair oracle queries: the closure rows are already exact).  Each
+  // per-pair distance queries: the closure rows are already exact).  Each
   // controller reports its candidates — a chain ships its VM sequence plus
   // its price.
   std::vector<core::PricedChain> candidates;

@@ -2,12 +2,12 @@
 // Per-domain subgraph materialization shared by the distributed components
 // (Section VI).
 //
-// Both the distance oracle and the sharded closure need the same view of a
-// partition: each controller owns the induced subgraph over its domain's
-// members, with edge ids mapped both ways so global `EdgeCostDelta` batches
-// can be routed to the owning domain and local shortest-path trees can be
-// reported back in global edge ids.  DomainGraphs builds that view once —
-// one pass over the global edge list — and both consumers share it.
+// The sharded closure views a partition the way its controllers do: each
+// controller owns the induced subgraph over its domain's members, with edge
+// ids mapped both ways so global `EdgeCostDelta` batches can be routed to
+// the owning domain and local shortest-path trees can be reported back in
+// global edge ids.  DomainGraphs builds that view once — one pass over the
+// global edge list.
 
 #include <vector>
 

@@ -5,7 +5,7 @@
 // nodes.  Domains jointly cover the network.  A node is a *border* node of
 // its domain when at least one of its links crosses into another domain —
 // border nodes are the only places where inter-domain traffic (and therefore
-// inter-controller coordination) can happen, so the distance oracle and the
+// inter-controller coordination) can happen, so the sharded closure and the
 // distributed driver key all of their bookkeeping on them.
 
 #include <vector>

@@ -18,14 +18,20 @@
 // edge no advertisement mentions is set to kInfiniteCost, node ids, edge
 // ids and CSR arc order all staying identical, and the standard
 // MetricClosure runs on the masked graph.  Exactness (DESIGN.md §11): a
-// global shortest path decomposes into intra-domain segments joined by
-// cross links (the oracle's composition argument); each segment from its
-// entry point is a domain-local canonical chain and is therefore advertised
-// — so the masked graph contains every canonical hub-to-target chain, the
-// masked distances meet the global ones bitwise (same edges folded in the
-// same order), and since masking only removes relaxation candidates while
-// the engine settles by (dist, node), the masked run picks the same parents
-// on every advertised chain.  Distances, paths and zero-cost tap
+// global shortest path from a hub, cut at every inter-domain link, falls
+// apart into maximal intra-domain segments joined by cross links.  Each
+// segment runs from a local root (the hub, or the border node where the
+// path enters the domain) to a local settle target (the border node where
+// it leaves, or the path's own target) over that domain's edges only, so
+// it is shortest inside the domain too; and since local settle order is
+// order-isomorphic to global (both ascending (dist, node) keys), it is the
+// domain-local canonical chain from its entry point, which the domain
+// advertises.  Cross links are advertised by definition.  So the masked
+// graph contains every canonical hub-to-target chain, the masked distances
+// meet the global ones bitwise (same edges folded in the same order), and
+// since masking only removes relaxation candidates while the engine
+// settles by (dist, node), the masked run picks the same parents on every
+// advertised chain.  Distances, paths and zero-cost tap
 // derivations over hubs × (hubs ∪ destinations) are bit-identical to the
 // global closure — the property the distributed certificate rides on.
 //
@@ -108,9 +114,6 @@ class ShardedClosure {
   /// local closure plus the stitched global view (each slab counted once
   /// per closure — the closures share no storage with each other).
   std::size_t memory_bytes() const;
-
-  Cost distance(NodeId from, NodeId to) const { return stitched_.distance(from, to); }
-  std::vector<NodeId> path(NodeId from, NodeId to) const { return stitched_.path(from, to); }
 
  private:
   struct DomainState {

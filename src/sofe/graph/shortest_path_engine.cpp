@@ -65,34 +65,12 @@ void ShortestPathEngine::reset_voronoi(std::size_t n) {
   vor_touched_.clear();
 }
 
-std::size_t ShortestPathEngine::mark_targets(std::span<const NodeId> targets) {
-  const auto n = static_cast<std::size_t>(g_->node_count());
-  if (target_mark_.size() != n) target_mark_.assign(n, 0);
-  std::size_t pending = 0;
-  for (NodeId t : targets) {
-    assert(g_->valid_node(t));
-    auto& m = target_mark_[static_cast<std::size_t>(t)];
-    if (!m) {
-      m = 1;
-      ++pending;
-    }
-  }
-  return pending;
-}
-
-void ShortestPathEngine::clear_targets(std::span<const NodeId> targets) {
-  for (NodeId t : targets) target_mark_[static_cast<std::size_t>(t)] = 0;
-}
-
-const ShortestPathTree& ShortestPathEngine::run_impl(NodeId source, NodeId target, Cost limit,
-                                                     std::span<const NodeId> settle_targets) {
+const ShortestPathTree& ShortestPathEngine::run(NodeId source) {
   assert(g_ != nullptr && "engine is not attached to a graph");
   assert(g_->valid_node(source));
   const CsrView& csr = g_->csr();
   const auto n = static_cast<std::size_t>(g_->node_count());
   reset_tree(n);
-
-  std::size_t pending = settle_targets.empty() ? 0 : mark_targets(settle_targets);
 
   tree_.source = source;
   tree_.dist[static_cast<std::size_t>(source)] = 0.0;
@@ -103,12 +81,6 @@ const ShortestPathTree& ShortestPathEngine::run_impl(NodeId source, NodeId targe
   while (!heap_.empty()) {
     const auto [d, u] = heap_pop(heap_);
     if (d > tree_.dist[static_cast<std::size_t>(u)]) continue;  // stale entry
-    if (u == target) break;
-    if (d > limit) break;
-    if (pending > 0 && target_mark_[static_cast<std::size_t>(u)]) {
-      target_mark_[static_cast<std::size_t>(u)] = 0;
-      if (--pending == 0) break;  // last target settled; like run_to, no relax
-    }
     const std::int32_t hi = csr.end(u);
     for (std::int32_t i = csr.begin(u); i < hi; ++i) {
       const CsrArc& a = csr.arcs[static_cast<std::size_t>(i)];
@@ -123,7 +95,6 @@ const ShortestPathTree& ShortestPathEngine::run_impl(NodeId source, NodeId targe
       }
     }
   }
-  if (!settle_targets.empty()) clear_targets(settle_targets);
   return tree_;
 }
 
@@ -147,7 +118,18 @@ void ShortestPathEngine::run_into(NodeId source, TreeRow out,
   const auto n = static_cast<std::size_t>(g_->node_count());
   assert(out.n == n && "row view must cover the whole graph");
 
-  std::size_t pending = stop_targets.empty() ? 0 : mark_targets(stop_targets);
+  // Mark the distinct stop targets; the marks are undone after the
+  // (possibly truncated) run.
+  if (!stop_targets.empty() && target_mark_.size() != n) target_mark_.assign(n, 0);
+  std::size_t pending = 0;
+  for (NodeId t : stop_targets) {
+    assert(g_->valid_node(t));
+    auto& m = target_mark_[static_cast<std::size_t>(t)];
+    if (!m) {
+      m = 1;
+      ++pending;
+    }
+  }
 
   labels_.assign(n, Label{kInfiniteCost, kInvalidNode, kInvalidEdge});
   labels_[static_cast<std::size_t>(source)].dist = 0.0;
@@ -172,7 +154,7 @@ void ShortestPathEngine::run_into(NodeId source, TreeRow out,
       }
     }
   }
-  if (!stop_targets.empty()) clear_targets(stop_targets);
+  for (NodeId t : stop_targets) target_mark_[static_cast<std::size_t>(t)] = 0;
 
   // Unpack the packed labels into the row layout in one sequential sweep.
   for (std::size_t i = 0; i < n; ++i) {

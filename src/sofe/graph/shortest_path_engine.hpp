@@ -2,26 +2,26 @@
 // Reusable shortest-path engine over the CSR adjacency view (DESIGN.md §2).
 //
 // Every solver layer in this library — Procedure-1 metric instances,
-// KMB/Mehlhorn Steiner, SOFDA pricing, the distributed distance oracle, the
-// dynamic-forest operations — bottoms out in Dijkstra.  The free functions in
-// dijkstra.hpp allocate three O(V) arrays plus a heap per call; on the hot
-// paths (metric closures over dozens of hubs, per-segment shortening sweeps,
-// online arrival streams) that allocation dominates.  The engine owns the
-// workspaces once and reuses them across queries:
+// KMB/Mehlhorn Steiner, SOFDA pricing, the sharded closure's per-domain
+// builds, the dynamic-forest operations — bottoms out in Dijkstra.  The
+// free functions in dijkstra.hpp allocate three O(V) arrays plus a heap per
+// call; on the hot paths (metric closures over dozens of hubs, per-segment
+// shortening sweeps, online arrival streams) that allocation dominates.
+// The engine owns the workspaces once and reuses them across queries:
 //
-//   * result arrays are reset via a touched-node list, so a bounded or
-//     targeted query that settles k nodes costs O(k log k), not O(V);
+//   * result arrays are reset via a touched-node list, so clearing after a
+//     run that reached k nodes costs O(k), not O(V);
 //   * the binary heap keeps its capacity between runs — zero allocation at
 //     steady state;
 //   * adjacency is streamed from Graph::csr(): three parallel flat arrays
 //     instead of the Arc -> edges_ pointer chase.
 //
-// Workspace-reuse contract: `run`, `run_to`, `run_bounded` and `run_multi`
-// return references to engine-owned storage that the NEXT run_* call
-// overwrites.  Copy what must outlive the next query, or use `run_into`,
-// which writes a standalone tree directly into caller storage (this is what
-// MetricClosure stores).  One engine serves one thread; parallel callers use
-// one engine each over a shared, prebuilt CSR (see MetricClosure).
+// Workspace-reuse contract: `run` and `run_multi` return references to
+// engine-owned storage that the NEXT call of the same function overwrites.
+// Copy what must outlive the next query, or use `run_into`, which writes a
+// standalone tree directly into caller storage (this is what MetricClosure
+// stores).  One engine serves one thread; parallel callers use one engine
+// each over a shared, prebuilt CSR (see MetricClosure).
 //
 // Determinism: identical inputs produce identical trees, bit for bit.
 // Single-source runs break heap ties on node id exactly like the historical
@@ -49,56 +49,28 @@ class ShortestPathEngine {
   explicit ShortestPathEngine(const Graph& g) { attach(g); }
 
   /// (Re)binds the engine to a graph.  Workspaces are kept and only grow, so
-  /// rebinding between graphs (e.g. the distance oracle's per-domain
-  /// subgraphs) does not thrash the allocator.  The graph must outlive the
-  /// engine's use of it.
+  /// rebinding between graphs (e.g. a session engine serving successive
+  /// problems' networks) does not thrash the allocator.  The graph must
+  /// outlive the engine's use of it.
   void attach(const Graph& g) { g_ = &g; }
 
   const Graph* graph() const noexcept { return g_; }
 
   /// Full single-source Dijkstra.  The returned tree is engine-owned and
-  /// overwritten by the next run_* call.
-  const ShortestPathTree& run(NodeId source) {
-    return run_impl(source, kInvalidNode, kInfiniteCost);
-  }
-
-  /// Dijkstra that stops as soon as `target` is settled.  dist/parent are
-  /// exact for `target` and every node settled before it; the remaining
-  /// entries are unexplored (+inf) or tentative upper bounds.
-  const ShortestPathTree& run_to(NodeId source, NodeId target) {
-    return run_impl(source, target, kInfiniteCost);
-  }
-
-  /// Dijkstra that settles exactly the nodes within distance `limit`.
-  /// Entries beyond the limit are unexplored or tentative, as in run_to.
-  const ShortestPathTree& run_bounded(NodeId source, Cost limit) {
-    return run_impl(source, kInvalidNode, limit);
-  }
-
-  /// Dijkstra that stops once every node in `targets` is settled (duplicates
-  /// tolerated; unreachable targets simply exhaust the graph).  dist/parent
-  /// are exact for every settled node — in particular for every reachable
-  /// target AND every node on a shortest path to one, since parents settle
-  /// first — the remaining entries are tentative, as in run_to.  This is
-  /// the engine-owned face of the stop-when-all-hubs-settled mode; bounded
-  /// MetricClosure builds (ClosureScope, which is how chain pricing gets
-  /// truncated hub trees) use the identical truncation through run_into's
-  /// `stop_targets` parameter, since closure trees are caller-owned.
-  const ShortestPathTree& run_until_settled(NodeId source, std::span<const NodeId> targets) {
-    return run_impl(source, kInvalidNode, kInfiniteCost, targets);
-  }
-
-  /// Exact point-to-point distance (targeted run; +inf when unreachable).
-  Cost distance(NodeId source, NodeId target) {
-    return run_to(source, target).dist[static_cast<std::size_t>(target)];
-  }
+  /// overwritten by the next run() call.
+  const ShortestPathTree& run(NodeId source);
 
   /// Full single-source Dijkstra written into caller-owned storage (the
   /// persistence path: MetricClosure hub trees, DynamicForest's cache).
   /// Only the heap workspace is engine-shared, so `out` is a standalone
   /// ShortestPathTree with no tie to the engine's lifetime.  A non-empty
-  /// `stop_targets` truncates the run as in run_until_settled (bounded
-  /// MetricClosure builds); truncated trees are NOT repairable.
+  /// `stop_targets` stops the run once every target is settled (duplicates
+  /// tolerated; unreachable targets simply exhaust the graph): dist/parent
+  /// are exact for every settled node — in particular for every reachable
+  /// target AND every node on a shortest path to one, since parents settle
+  /// first — and the remaining entries are unexplored (+inf) or tentative
+  /// upper bounds.  This is how bounded MetricClosure builds (ClosureScope)
+  /// truncate hub trees; truncated trees are NOT repairable.
   void run_into(NodeId source, ShortestPathTree& out, std::span<const NodeId> stop_targets = {});
 
   /// run_into writing through a raw row view (slab-backed closure storage,
@@ -192,14 +164,8 @@ class ShortestPathEngine {
     EdgeId parent_edge;
   };
 
-  const ShortestPathTree& run_impl(NodeId source, NodeId target, Cost limit,
-                                   std::span<const NodeId> settle_targets = {});
   void reset_tree(std::size_t n);
   void reset_voronoi(std::size_t n);
-  /// Marks `targets` in target_mark_ and returns the distinct count;
-  /// clear_targets undoes the marks after a (possibly truncated) run.
-  std::size_t mark_targets(std::span<const NodeId> targets);
-  void clear_targets(std::span<const NodeId> targets);
 
   const Graph* g_ = nullptr;
   ShortestPathTree tree_;
@@ -210,7 +176,7 @@ class ShortestPathEngine {
   std::vector<NodeId> seeds_;
   std::vector<HeapItem> heap_;
   std::vector<MultiHeapItem> multi_heap_;
-  std::vector<std::uint8_t> target_mark_;  // run_until_settled scratch
+  std::vector<std::uint8_t> target_mark_;  // run_into stop-target scratch
   // repair() workspaces: per-node state bits with a touched list for O(k)
   // reset, plus worklists for subtree invalidation, parent fixup and
   // plateau resolution.

@@ -1,7 +1,7 @@
 // Tests for the CSR graph core and the reusable ShortestPathEngine: CSR /
 // adjacency agreement, workspace-reuse correctness across repeated queries,
-// targeted/bounded variants, the multi-source smaller-owner tie-break
-// invariant, path_to edge cases, and bit-identical multi-threaded
+// run_into's stop-target truncation, the multi-source smaller-owner
+// tie-break invariant, path_to edge cases, and bit-identical multi-threaded
 // MetricClosure construction.
 
 #include <gtest/gtest.h>
@@ -116,55 +116,18 @@ TEST_P(EngineRandom, RunMatchesOneShotDijkstraAndBellmanFord) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineRandom, ::testing::Range(1, 9));
 
 TEST(Engine, RepeatedRunsLeaveNoResidue) {
-  // A bounded run touches few nodes; the following full run must be exact
-  // everywhere (the touched-list reset is what this pins down).
+  // Earlier runs leave other sources' distances in the engine-owned arrays;
+  // the following run must be exact everywhere (the touched-list reset is
+  // what this pins down).
   util::Rng rng(42);
   const Graph g = random_connected(rng, 60, 0.1);
   ShortestPathEngine engine(g);
   const auto baseline = dijkstra(g, 7);
-  (void)engine.run_bounded(3, 1.0);
-  (void)engine.run_to(11, 12);
+  (void)engine.run(3);
+  (void)engine.run(11);
   const auto& t = engine.run(7);
   EXPECT_EQ(t.dist, baseline.dist);
   EXPECT_EQ(t.parent, baseline.parent);
-}
-
-TEST(Engine, RunToSettlesTargetExactly) {
-  util::Rng rng(9);
-  const Graph g = random_connected(rng, 50, 0.12);
-  ShortestPathEngine engine(g);
-  for (int trial = 0; trial < 20; ++trial) {
-    const auto s = static_cast<NodeId>(rng.index(50));
-    const auto d = static_cast<NodeId>(rng.index(50));
-    const Cost expect = dijkstra(g, s).distance(d);
-    EXPECT_DOUBLE_EQ(engine.distance(s, d), expect);
-    const auto& t = engine.run_to(s, d);
-    const auto path = t.path_to(d);
-    EXPECT_EQ(path.front(), s);
-    EXPECT_EQ(path.back(), d);
-    Cost walked = 0.0;
-    for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-      walked += g.edge(g.find_edge(path[i], path[i + 1])).cost;
-    }
-    EXPECT_NEAR(walked, expect, 1e-9);
-  }
-}
-
-TEST(Engine, RunBoundedSettlesEverythingWithinLimit) {
-  util::Rng rng(13);
-  const Graph g = random_connected(rng, 50, 0.12);
-  ShortestPathEngine engine(g);
-  const auto full = dijkstra(g, 0);
-  const Cost limit = 8.0;
-  const auto& t = engine.run_bounded(0, limit);
-  for (NodeId v = 0; v < g.node_count(); ++v) {
-    if (full.distance(v) <= limit) {
-      EXPECT_DOUBLE_EQ(t.distance(v), full.distance(v));
-    } else if (t.reachable(v)) {
-      // Beyond the limit entries may exist only as valid upper bounds.
-      EXPECT_GE(t.distance(v) + 1e-12, full.distance(v));
-    }
-  }
 }
 
 TEST(Engine, UnreachableStaysInfinite) {
@@ -824,54 +787,46 @@ TEST(MetricClosureBounded, HubAndTargetQueriesMatchTheFullBuild) {
   }
 }
 
-// ------------------------------------------------------ run_until_settled ---
+// ------------------------------------------------- run_into stop targets ---
 
-TEST(RunUntilSettled, TargetsAndTheirPathsAreExact) {
-  util::Rng rng(19);
-  const Graph g = random_connected(rng, 80, 0.08);
-  ShortestPathEngine engine(g);
-  const auto full = dijkstra(g, 4);
-  const std::vector<NodeId> targets{9, 31, 62, 9};  // duplicate tolerated
-  const auto& t = engine.run_until_settled(4, targets);
-  for (NodeId v : targets) {
-    EXPECT_EQ(t.distance(v), full.distance(v));  // bitwise
-    // The whole parent chain of a settled node is settled and exact.
-    for (NodeId x = v; x != 4; x = t.parent[static_cast<std::size_t>(x)]) {
-      EXPECT_EQ(t.dist[static_cast<std::size_t>(x)], full.dist[static_cast<std::size_t>(x)]);
-      EXPECT_EQ(t.parent[static_cast<std::size_t>(x)], full.parent[static_cast<std::size_t>(x)]);
-    }
-    EXPECT_EQ(t.path_to(v), full.path_to(v));
-  }
-}
-
-TEST(RunUntilSettled, UnreachableTargetExhaustsGracefullyAndLeavesNoResidue) {
+TEST(StopTargets, UnreachableTargetExhaustsGracefullyAndLeavesNoResidue) {
   Graph g(5);
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   g.add_edge(3, 4, 1.0);  // separate component
   ShortestPathEngine engine(g);
   const std::vector<NodeId> targets{2, 3};
-  const auto& t = engine.run_until_settled(0, targets);
+  ShortestPathTree t;
+  engine.run_into(0, t, targets);
   EXPECT_DOUBLE_EQ(t.distance(2), 2.0);
   EXPECT_FALSE(t.reachable(3));
-  // The next full run must be exact everywhere (touched-list + target-mark
-  // reset).
+  // The unreachable target's mark must be cleared: a leftover mark on 3
+  // would leave only 4 pending here, stopping the run at its own source.
+  const std::vector<NodeId> next{4, 3};
+  engine.run_into(4, t, next);
+  EXPECT_DOUBLE_EQ(t.distance(3), 1.0);
   const auto baseline = dijkstra(g, 1);
-  const auto& full = engine.run(1);
-  EXPECT_EQ(full.dist, baseline.dist);
-  EXPECT_EQ(full.parent, baseline.parent);
+  engine.run_into(1, t);
+  EXPECT_EQ(t.dist, baseline.dist);
+  EXPECT_EQ(t.parent, baseline.parent);
 }
 
-TEST(RunUntilSettled, BoundedRunIntoMatchesSettledPrefix) {
+TEST(StopTargets, RunIntoMatchesSettledPrefix) {
   util::Rng rng(27);
   Graph g = random_connected(rng, 60, 0.1);
   ShortestPathEngine engine(g);
-  std::vector<NodeId> targets{5, 17, 33};
+  std::vector<NodeId> targets{5, 17, 33, 5};  // duplicate tolerated
   ShortestPathTree bounded;
   engine.run_into(8, bounded, targets);
   const auto full = dijkstra(g, 8);
   for (NodeId v : targets) {
-    EXPECT_EQ(bounded.distance(v), full.distance(v));
+    EXPECT_EQ(bounded.distance(v), full.distance(v));  // bitwise
+    // The whole parent chain of a settled node is settled and exact.
+    for (NodeId x = v; x != 8; x = bounded.parent[static_cast<std::size_t>(x)]) {
+      EXPECT_EQ(bounded.dist[static_cast<std::size_t>(x)], full.dist[static_cast<std::size_t>(x)]);
+      EXPECT_EQ(bounded.parent[static_cast<std::size_t>(x)],
+                full.parent[static_cast<std::size_t>(x)]);
+    }
     EXPECT_EQ(bounded.path_to(v), full.path_to(v));
   }
 }
