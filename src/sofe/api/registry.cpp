@@ -44,8 +44,8 @@ class SofdaSolver final : public Solver {
     req.bounded = opt_.bounded_closure;
     req.retention = opt_.retention_rows;
     // Pricing and chain lifting query hub-to-hub only; the re-homing
-    // fallback additionally queries hub-to-destination — so destinations
-    // complete the settle scope of a bounded closure.
+    // fallback and shortening additionally query hub-to-destination — so
+    // destinations complete the settle scope of a bounded closure.
     req.settle_targets = p.destinations;
     const auto& closure = session_.acquire(p.network, hubs, req, r);
     if (epoch_priced_) {
@@ -141,11 +141,12 @@ class SofdaSsSolver final : public Solver {
     ClosureRequest req;
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
-    // SOFDA-SS queries the closure hub-to-hub only (chain planning; the
-    // distribution part rides its own Steiner trees), so a bounded scope
-    // needs no extra targets.
+    // Chain planning queries hub-to-hub, but shortening reads each
+    // segment's tree toward its end — a VM or a destination — so
+    // destinations complete the settle scope of a bounded closure.
     req.bounded = opt_.bounded_closure;
     req.retention = opt_.retention_rows;
+    req.settle_targets = p.destinations;
     const auto& closure = session_.acquire(p.network, hubs, req, r);
     util::Stopwatch watch;
     ServiceForest f = core::sofda_ss(p, source, closure, opt_.algo());

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <sstream>
 
-#include "sofe/graph/shortest_path_engine.hpp"
+#include "sofe/graph/metric_closure.hpp"
 
 namespace sofe::core {
 
@@ -67,23 +67,30 @@ Cost total_cost(const Problem& p, const ServiceForest& f) {
   return setup_cost(p, f) + connection_cost(p, f);
 }
 
-void shorten_pass_through(const Problem& p, ServiceForest& f) {
+namespace {
+
+/// Essential positions of a walk: its start, every VNF position, its end.
+/// Consecutive pairs bound the pass-through segments.
+std::vector<std::size_t> essential_positions(const ChainWalk& w) {
+  std::vector<std::size_t> essential{0};
+  essential.insert(essential.end(), w.vnf_pos.begin(), w.vnf_pos.end());
+  if (essential.back() != w.nodes.size() - 1) essential.push_back(w.nodes.size() - 1);
+  return essential;
+}
+
+}  // namespace
+
+void shorten_pass_through(const Problem& p, const graph::MetricClosure& closure,
+                          ServiceForest& f) {
   Cost best = total_cost(p, f);
-  // One engine for the whole sweep: the per-segment queries below reuse its
-  // workspaces instead of allocating a fresh Dijkstra per essential pair.
-  graph::ShortestPathEngine engine(p.network);
   for (std::size_t wi = 0; wi < f.walks.size(); ++wi) {
     ChainWalk& w = f.walks[wi];
-    // Essential positions: walk start, every VNF position, walk end.
-    std::vector<std::size_t> essential{0};
-    essential.insert(essential.end(), w.vnf_pos.begin(), w.vnf_pos.end());
-    if (essential.back() != w.nodes.size() - 1) essential.push_back(w.nodes.size() - 1);
-
+    std::vector<std::size_t> essential = essential_positions(w);
     for (std::size_t k = 0; k + 1 < essential.size(); ++k) {
       const std::size_t a = essential[k];
       const std::size_t b = essential[k + 1];
       if (b <= a + 1) continue;  // nothing between to shorten
-      const auto& sp = engine.run(w.nodes[a]);
+      const auto sp = closure.tree(w.nodes[a]);
       if (!sp.reachable(w.nodes[b])) continue;
       const auto path = sp.path_to(w.nodes[b]);
       if (path.size() >= b - a + 1) continue;  // not shorter in hops; skip cheap
@@ -107,15 +114,28 @@ void shorten_pass_through(const Problem& p, ServiceForest& f) {
       const Cost now = total_cost(p, f);
       if (now <= best) {
         best = now;
-        // Re-derive essential positions after the splice.
-        essential.assign(1, 0);
-        essential.insert(essential.end(), w.vnf_pos.begin(), w.vnf_pos.end());
-        if (essential.back() != w.nodes.size() - 1) essential.push_back(w.nodes.size() - 1);
+        essential = essential_positions(w);  // re-derive after the splice
       } else {
         w = std::move(saved);
       }
     }
   }
+}
+
+void shorten_pass_through(const Problem& p, ServiceForest& f) {
+  // A splice moves later essential positions but never changes which node
+  // starts a segment or how many hops the untouched segments have, so the
+  // starts the sweep will query are known up front.
+  std::vector<NodeId> starts;
+  for (const ChainWalk& w : f.walks) {
+    const std::vector<std::size_t> essential = essential_positions(w);
+    for (std::size_t k = 0; k + 1 < essential.size(); ++k) {
+      if (essential[k + 1] > essential[k] + 1) starts.push_back(w.nodes[essential[k]]);
+    }
+  }
+  if (starts.empty()) return;
+  const graph::MetricClosure closure(p.network, sorted_unique(std::move(starts)));
+  shorten_pass_through(p, closure, f);
 }
 
 std::string describe(const Problem& p, const ServiceForest& f) {

@@ -16,6 +16,10 @@
 
 #include "sofe/core/problem.hpp"
 
+namespace sofe::graph {
+class MetricClosure;
+}  // namespace sofe::graph
+
 namespace sofe::core {
 
 /// The walk serving one destination.
@@ -85,6 +89,24 @@ Cost total_cost(const Problem& p, const ServiceForest& f);
 /// maximal pass-through segment of every walk with a shortest path, keeping
 /// the change only when the *forest* cost does not increase (shared-edge
 /// accounting can make a locally shorter detour globally worse).
+///
+/// A segment runs between consecutive essential nodes — the walk's source,
+/// its VNF VMs, its destination — so every segment starts at a source or a
+/// VM, and its shortest path is read from `closure.tree(start)` (DESIGN.md
+/// §4).  Precondition: every such start is a hub of `closure`, and its row
+/// is exact toward the walk's VMs and destination.  A complete closure over
+/// VMs ∪ sources qualifies (built, repaired or published — its rows are
+/// bitwise the engine's trees), and so does a bounded one whose settle
+/// targets include the destinations.  The dist layer's stitched view does
+/// not (DESIGN.md §11).  Given an exact closure the result is bitwise the
+/// two-argument overload's.
+void shorten_pass_through(const Problem& p, const graph::MetricClosure& closure,
+                          ServiceForest& f);
+
+/// The same post-step for callers without a closure: builds one complete
+/// MetricClosure over the distinct starts of the segments that have
+/// pass-through nodes — one Dijkstra per start (per tap host), not per
+/// segment — and delegates.
 void shorten_pass_through(const Problem& p, ServiceForest& f);
 
 /// Human-readable dump (examples / debugging).

@@ -322,7 +322,9 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
     f.walks.push_back(std::move(w));
   }
 
-  if (opt.shorten) shorten_pass_through(p, f);
+  // Every segment starts at a source or a VNF VM — hubs of `closure` — so
+  // shortening reads its trees from the closure the solve already holds.
+  if (opt.shorten) shorten_pass_through(p, closure, f);
   return f;
 }
 

@@ -93,7 +93,10 @@ void merge_priced_chains(std::vector<PricedChain>& chains);
 /// Steps 2-5 of SOFDA (auxiliary graph, Steiner tree, deployment, walks)
 /// given already-priced candidates in canonical (source, last_vm) order.
 /// `closure` must hold trees for every candidate's last VM (used by the
-/// drop-fallback re-homing).  Requires chain_length >= 1.
+/// drop-fallback re-homing) and, with `opt.shorten`, for every source, each
+/// row exact toward the VMs and destinations (shorten_pass_through's
+/// precondition; a bounded closure must settle the destinations).
+/// Requires chain_length >= 1.
 ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure& closure,
                                     const std::vector<PricedChain>& candidates,
                                     const AlgoOptions& opt = {}, SofdaStats* stats = nullptr);

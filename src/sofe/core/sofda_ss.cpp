@@ -113,7 +113,7 @@ ServiceForest sofda_ss(const Problem& p, NodeId source, const graph::MetricClosu
       best = std::move(f);
     }
   }
-  if (opt.shorten && !best.empty()) shorten_pass_through(p, best);
+  if (opt.shorten && !best.empty()) shorten_pass_through(p, closure, best);
   return best;
 }
 

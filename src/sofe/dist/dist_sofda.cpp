@@ -63,8 +63,13 @@ DistSofdaResult distributed_sofda_with(const core::Problem& p, const ShardedClos
 
   // --- The coordinator solves Procedure 3 over the merged candidates and
   // broadcasts the selected chains plus the per-destination distribution
-  // segments.
-  r.forest = core::sofda_from_candidates(p, closure, candidates, opt, &r.stats);
+  // segments.  Shortening runs over p.network, not the stitched view: a
+  // warm session's view is exact only toward the destinations advertised
+  // at its cold build (DESIGN.md §11), and segments end at destinations.
+  core::AlgoOptions solve_opt = opt;
+  solve_opt.shorten = false;
+  r.forest = core::sofda_from_candidates(p, closure, candidates, solve_opt, &r.stats);
+  if (opt.shorten) core::shorten_pass_through(p, r.forest);
   if (k > 1) {
     bus.broadcast(static_cast<std::size_t>(k - 1),
                   static_cast<std::size_t>(r.stats.deployed_chains) + r.forest.walks.size());

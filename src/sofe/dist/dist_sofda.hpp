@@ -68,7 +68,9 @@ DistSofdaResult distributed_sofda(const core::Problem& p, int controllers,
 /// solve and the acks.  `sc` must have been built for this problem's
 /// hubs/destinations over `p.network`; `bus` keeps accumulating, so the
 /// returned ledger covers everything charged on it (api::DistSolver passes
-/// the same bus through ClosureSession::acquire_sharded first).  Requires
+/// the same bus through ClosureSession::acquire_sharded first).  The
+/// pass-through shortening step runs over `p.network`, since a warm `sc`
+/// is exact only toward the destinations of its cold build.  Requires
 /// chain_length >= 1 and nonempty destinations.
 DistSofdaResult distributed_sofda_with(const core::Problem& p, const ShardedClosure& sc,
                                        MessageBus& bus, const core::AlgoOptions& opt = {});

@@ -34,6 +34,12 @@
 // advertised chain.  Distances, paths and zero-cost tap
 // derivations over hubs × (hubs ∪ destinations) are bit-identical to the
 // global closure — the property the distributed certificate rides on.
+// The destinations here are those passed to build(): refresh() and
+// extend() never advertise toward a later request's destinations, so a
+// warm view's rows toward them are not exact (+inf, or a longer path).
+// Pricing reads hub-to-hub rows only; pass-through shortening reads
+// hub-to-destination rows, so distributed_sofda_with shortens over the
+// network instead of this view (DESIGN.md §11).
 //
 // Incremental (repairable builds only): an EdgeCostDelta batch routes to
 // the owning domain (cross-link deltas hit the mask directly), the local

@@ -5,8 +5,8 @@
 // KMB/Mehlhorn Steiner, SOFDA pricing, the sharded closure's per-domain
 // builds, the dynamic-forest operations — bottoms out in Dijkstra.  The
 // free functions in dijkstra.hpp allocate three O(V) arrays plus a heap per
-// call; on the hot paths (metric closures over dozens of hubs, per-segment
-// shortening sweeps, online arrival streams) that allocation dominates.
+// call; on the hot paths (metric closures over dozens of hubs, online
+// arrival streams) that allocation dominates.
 // The engine owns the workspaces once and reuses them across queries:
 //
 //   * result arrays are reset via a touched-node list, so clearing after a

@@ -46,7 +46,9 @@ Stroll cheapest_insertion(const StrollInstance& inst, int k) {
         }
       }
     }
-    assert(best_node < n);
+    // No unused node has a finite insertion delta: the s/u component holds
+    // fewer than k nodes (e.g. VMs cut off by +inf failed links).
+    if (best_node == n) return {};
     s.order.insert(s.order.begin() + static_cast<std::ptrdiff_t>(best_gap) + 1, best_node);
     used[best_node] = true;
   }

@@ -35,7 +35,8 @@ enum class StrollAlgorithm {
 };
 
 /// Solves for a stroll on exactly k distinct nodes (k >= 2).  Returns an
-/// infeasible Stroll when the instance has fewer than k nodes.
+/// infeasible Stroll when the instance has fewer than k nodes, or fewer
+/// than k at finite cost from the source and the last VM.
 Stroll solve_stroll(const StrollInstance& inst, int k,
                     StrollAlgorithm algo = StrollAlgorithm::kCheapestInsertion);
 

@@ -331,16 +331,28 @@ TEST(Session, MassiveDeltaFallsBackToRebuild) {
 TEST(BoundedClosure, SolverOutputMatchesTheFreeFunction) {
   SolverOptions bounded;
   bounded.bounded_closure = true;
-  const auto topo = topology::softlayer();
   auto solver = make_solver("sofda", bounded);
   auto ss = make_solver("sofda-ss", bounded);
+  std::vector<std::pair<std::string, core::Problem>> problems;
   for (std::uint64_t seed : {3u, 4u}) {
     topology::ProblemConfig cfg;
     cfg.seed = seed;
-    const auto p = topology::make_problem(topo, cfg);
-    EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p))) << "seed " << seed;
-    EXPECT_TRUE(forests_equal(ss->solve(p), core::sofda_ss(p, p.sources.front())))
-        << "seed " << seed;
+    problems.emplace_back("softlayer seed " + std::to_string(seed),
+                          topology::make_problem(topology::softlayer(), cfg));
+  }
+  // Shortening reads the last VM's row toward each destination: here a
+  // closure bounded to the hubs alone leaves some of those rows unsettled
+  // and changes the SOFDA-SS forest, so the session must settle the
+  // destinations too.
+  topology::ProblemConfig cogent_cfg;
+  cogent_cfg.num_vms = 8;
+  cogent_cfg.num_sources = 1;
+  cogent_cfg.num_destinations = 4;
+  cogent_cfg.seed = 2;
+  problems.emplace_back("cogent seed 2", topology::make_problem(topology::cogent(), cogent_cfg));
+  for (const auto& [label, p] : problems) {
+    EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p))) << label;
+    EXPECT_TRUE(forests_equal(ss->solve(p), core::sofda_ss(p, p.sources.front()))) << label;
   }
 }
 

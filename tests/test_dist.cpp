@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "sofe/api/registry.hpp"
 #include "sofe/api/solver.hpp"
 #include "sofe/core/sofda.hpp"
 #include "sofe/core/validate.hpp"
@@ -17,6 +18,7 @@
 #include "sofe/dist/sharded_closure.hpp"
 #include "sofe/graph/metric_closure.hpp"
 #include "sofe/topology/topology.hpp"
+#include "sofe/util/rng.hpp"
 
 namespace sofe::dist {
 namespace {
@@ -514,6 +516,56 @@ TEST(DistributedSofda, CertificateBitwiseIdenticalAcrossKAndThreads) {
       }
     }
   }
+}
+
+TEST(DistributedSofda, WarmSessionMatchesSofdaOnRedrawnRequests) {
+  // A warm dist/k=4 session serves requests whose destinations its cold
+  // build never advertised.  The stitched view is not exact toward them
+  // (DESIGN.md §11), so distributed_sofda_with must shorten over
+  // p.network instead.  Sources and destinations are re-drawn for every
+  // solve, a few link prices move in between, and every forest must stay
+  // bitwise the one a "sofda" session returns for the same problem.
+  topology::ProblemConfig cfg;
+  cfg.num_sources = 4;
+  cfg.num_destinations = 10;
+  cfg.seed = 21;
+  core::Problem p = topology::make_problem(topology::inet(300, 600, 8, 21), cfg);
+  std::vector<NodeId> access;
+  for (NodeId v = 0; v < p.network.node_count(); ++v) {
+    if (!p.is_vm[static_cast<std::size_t>(v)]) access.push_back(v);
+  }
+  const auto dist = api::make_solver("dist/k=4");
+  const auto central = api::make_solver("sofda");
+  util::Rng rng(5);
+  int repairs = 0;
+  for (int i = 0; i < 24; ++i) {
+    if (i > 0) {
+      for (int j = 0; j < 3; ++j) {
+        const auto e = static_cast<EdgeId>(rng.index(static_cast<std::size_t>(p.network.edge_count())));
+        const Cost cost = p.network.edge(e).cost;
+        if (cost > 0.0) p.network.set_edge_cost(e, cost * rng.uniform(0.5, 2.0));  // taps stay 0
+      }
+      const auto picks = rng.sample_without_replacement(access.size(), 14);
+      p.sources.clear();
+      p.destinations.clear();
+      for (std::size_t k = 0; k < picks.size(); ++k) {
+        (k < 4 ? p.sources : p.destinations).push_back(access[picks[k]]);
+      }
+    }
+    const core::ServiceForest fd = dist->solve(p);
+    repairs += dist->report().closure_repaired ? 1 : 0;
+    const core::ServiceForest fc = central->solve(p);
+    ASSERT_FALSE(fc.empty()) << "request " << i;
+    ASSERT_EQ(fd.walks.size(), fc.walks.size()) << "request " << i;
+    for (std::size_t w = 0; w < fc.walks.size(); ++w) {
+      EXPECT_EQ(fd.walks[w].source, fc.walks[w].source) << "request " << i << " walk " << w;
+      EXPECT_EQ(fd.walks[w].destination, fc.walks[w].destination)
+          << "request " << i << " walk " << w;
+      EXPECT_EQ(fd.walks[w].nodes, fc.walks[w].nodes) << "request " << i << " walk " << w;
+      EXPECT_EQ(fd.walks[w].vnf_pos, fc.walks[w].vnf_pos) << "request " << i << " walk " << w;
+    }
+  }
+  EXPECT_GT(repairs, 0) << "the dist session never served a request warm";
 }
 
 }  // namespace

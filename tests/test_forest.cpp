@@ -1,10 +1,18 @@
 // ServiceForest cost-accounting tests: stage-edge deduplication (τ), shared
-// VM setup (σ), walk revisits, and the pass-through shortening post-step.
+// VM setup (σ), walk revisits, and the pass-through shortening post-step
+// (including its closure overload against every kind of closure row).
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "sofe/api/solver.hpp"
 #include "sofe/core/forest.hpp"
+#include "sofe/core/sofda.hpp"
 #include "sofe/core/validate.hpp"
+#include "sofe/graph/metric_closure.hpp"
+#include "sofe/topology/topology.hpp"
 
 namespace sofe::core {
 namespace {
@@ -168,6 +176,94 @@ TEST(Shorten, KeepsSharedSegmentsWhenCheaper) {
   const Cost before = total_cost(p, f);  // 1 + 4 + 0.5 + 0.5 + setup 1 = 7
   shorten_pass_through(p, f);
   EXPECT_DOUBLE_EQ(total_cost(p, f), before) << "shortening must not raise forest cost";
+}
+
+/// Shortens a copy of `raw` through `closure` and expects every walk to be
+/// bitwise `expected`'s.
+void expect_closure_shortening(const Problem& p, const graph::MetricClosure& closure,
+                               const ServiceForest& raw, const ServiceForest& expected,
+                               const std::string& label) {
+  ServiceForest got = raw;
+  shorten_pass_through(p, closure, got);
+  ASSERT_EQ(got.walks.size(), expected.walks.size()) << label;
+  for (std::size_t i = 0; i < got.walks.size(); ++i) {
+    EXPECT_EQ(got.walks[i].source, expected.walks[i].source) << label << " walk " << i;
+    EXPECT_EQ(got.walks[i].nodes, expected.walks[i].nodes) << label << " walk " << i;
+    EXPECT_EQ(got.walks[i].vnf_pos, expected.walks[i].vnf_pos) << label << " walk " << i;
+  }
+}
+
+TEST(Shorten, ClosureOverloadMatchesSegmentStartClosure) {
+  // Unshortened SOFDA forests, shortened through three kinds of complete
+  // VMs ∪ sources closure: the solve's own (tap-aliased rows), a session
+  // closure whose rows a refresh repaired into the current costs, and a
+  // published epoch snapshot whose live session has since moved on.  Each
+  // must reproduce the two-argument overload, which builds its closure
+  // over the segment starts only.  Seeds 1-12 per topology; only some
+  // instances splice, and each topology must contribute at least one.
+  struct Case {
+    const char* name;
+    topology::Topology topo;
+    int sources;
+    int destinations;
+  };
+  const Case cases[] = {{"softlayer", topology::softlayer(), 4, 10},
+                        {"cogent", topology::cogent(), 14, 6},
+                        {"inet", topology::inet(300, 600, 8, 21), 4, 10}};
+  AlgoOptions unshortened;
+  unshortened.shorten = false;
+  for (const Case& c : cases) {
+    std::size_t shortened_walks = 0;
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+      topology::ProblemConfig cfg;
+      cfg.num_sources = c.sources;
+      cfg.num_destinations = c.destinations;
+      cfg.seed = seed;
+      const Problem p = topology::make_problem(c.topo, cfg);
+      const std::string label = std::string(c.name) + " seed " + std::to_string(seed);
+      const ServiceForest raw = sofda(p, unshortened);
+      ASSERT_FALSE(raw.empty()) << label;
+      ServiceForest expected = raw;
+      shorten_pass_through(p, expected);
+      for (std::size_t i = 0; i < raw.walks.size(); ++i) {
+        if (expected.walks[i].nodes != raw.walks[i].nodes) ++shortened_walks;
+      }
+
+      std::vector<NodeId> hubs = p.vms();
+      hubs.insert(hubs.end(), p.sources.begin(), p.sources.end());
+      const graph::MetricClosure full(p.network, hubs);
+      expect_closure_shortening(p, full, raw, expected, label + " full");
+
+      // Every third priced link of the raw forest costs 2.5x in `shifted`,
+      // so moving between the two networks repairs the rows the walks ride.
+      Problem shifted = p;
+      int picked = 0;
+      for (const StageEdge& se : raw.stage_edges()) {
+        const EdgeId e = p.network.find_edge(se.u, se.v);
+        const Cost cost = p.network.edge(e).cost;
+        if (cost > 0.0 && shifted.network.edge(e).cost == cost && picked++ % 3 == 0) {
+          shifted.network.set_edge_cost(e, cost * 2.5);
+        }
+      }
+
+      api::ClosureRequest req;
+      api::SolveReport cold, repair;
+      api::ClosureSession session;
+      session.acquire(shifted.network, hubs, req, cold);
+      const graph::MetricClosure& repaired = session.acquire(p.network, hubs, req, repair);
+      ASSERT_TRUE(repair.closure_repaired) << label;
+      expect_closure_shortening(p, repaired, raw, expected, label + " repaired");
+
+      api::SolveReport published, moved;
+      api::ClosureSession publisher;
+      const api::ClosureEpoch epoch = publisher.publish(p.network, hubs, req, published);
+      publisher.acquire(shifted.network, hubs, req, moved);
+      ASSERT_TRUE(moved.closure_repaired) << label;
+      expect_closure_shortening(p, *epoch.closure, raw, expected, label + " epoch");
+      publisher.retire();
+    }
+    EXPECT_GT(shortened_walks, 0u) << c.name << ": no instance exercised an actual splice";
+  }
 }
 
 TEST(Describe, MentionsCostAndVnfs) {

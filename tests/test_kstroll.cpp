@@ -139,6 +139,33 @@ TEST(StrollSolver, InfeasibleWhenTooFewNodes) {
   EXPECT_FALSE(exact_dp(inst, 7).feasible());
 }
 
+TEST(StrollSolver, InfeasibleWhenTooFewNodesAtFiniteCost) {
+  // Five instance nodes, but only the source (index 0), the last VM (1)
+  // and node 2 are mutually reachable; nodes 3 and 4 sit behind +inf links
+  // (VMs cut off by failed links).  A 4-stroll needs a fourth node at
+  // finite cost, so every solver reports infeasible — no unused node has a
+  // finite insertion delta, which cheapest insertion must not index past.
+  constexpr Cost kInf = graph::kInfiniteCost;
+  StrollInstance inst;
+  inst.source = 10;
+  inst.last_vm = 11;
+  inst.nodes = {10, 11, 12, 13, 14};
+  inst.last_index = 1;
+  inst.cost = {{0.0, 2.0, 1.0, kInf, kInf},
+               {2.0, 0.0, 1.0, kInf, kInf},
+               {1.0, 1.0, 0.0, kInf, kInf},
+               {kInf, kInf, kInf, 0.0, 1.0},
+               {kInf, kInf, kInf, 1.0, 0.0}};
+  EXPECT_FALSE(cheapest_insertion(inst, 4).feasible());
+  EXPECT_FALSE(exact_dp(inst, 4).feasible());
+  EXPECT_FALSE(solve_stroll(inst, 4).feasible());
+  // Three finite nodes still make a 3-stroll: s -> 2 -> u.
+  const Stroll s = cheapest_insertion(inst, 3);
+  ASSERT_TRUE(s.feasible());
+  EXPECT_EQ(s.order, (std::vector<std::size_t>{0, 2, 1}));
+  EXPECT_DOUBLE_EQ(s.cost, 2.0);
+}
+
 TEST(StrollSolver, LineNetworkOrderedVisit) {
   // On a line with increasing VM costs, the cheapest 3-stroll 0→4 takes the
   // cheapest intermediate VM (node 1).
