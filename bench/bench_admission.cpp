@@ -112,7 +112,7 @@ SweepPoint run_cell(const sofe::topology::Topology& topo, OnlineConfig cfg,
   for (const int workers : worker_counts) {
     sofe::online::PipelineOptions popt;
     popt.workers = workers;
-    const OnlineResult got = sofe::online::serve_pipelined(topo, cfg, "sofda", {}, popt);
+    const OnlineResult got = sofe::online::Pipeline(topo, cfg, "sofda", {}, popt).run();
     if (!admission_series_identical(ref, got)) {
       pt.identical = false;
       std::cerr << "ERROR: pipeline diverged from sequential (policy=" << policy

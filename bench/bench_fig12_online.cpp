@@ -9,14 +9,13 @@
 // (DESIGN.md §8 + §9): every solver runs the arrival loop twice — once
 // with the delta-aware session (SolverOptions::incremental closure repair
 // plus the ::incremental_pricing chain cache) and once with the recomputing
-// baseline (both knobs off, per-arrival Problem copies) — verifies the two
-// series bit for bit (exit 1 on any divergence), and reports the
-// arrival-loop speedup, the pricing-cache hit/reprice tallies and a
-// per-phase breakdown.
+// baseline (both knobs off) — verifies the two series bit for bit (exit 1
+// on any divergence), and reports the arrival-loop speedup, the
+// pricing-cache hit/reprice tallies and a per-phase breakdown.
 //
 // Flags:
 // PR 6 adds the pipeline panel (DESIGN.md §10): a worker-count sweep of
-// online::serve_pipelined over the same arrival stream, pinned to the
+// online::Pipeline over the same arrival stream, pinned to the
 // container's hardware concurrency (powers of two up to it, floor 2 so the
 // TSan CI cell always exercises real threads), asserting every point's cost
 // series bitwise equal to the sequential epoch driver and reporting
@@ -201,18 +200,16 @@ PanelMeasurement run_panel(const char* title, const sofe::topology::Topology& to
     m.incremental_seconds = watch.seconds();
     m.series.algorithm = display;
 
-    // Recomputing baseline: per-arrival Problem copies + strict sessions
-    // that rebuild the closure whenever anything changed and re-price every
-    // chain from scratch (the pre-§9 pricing path).
+    // Recomputing baseline: strict sessions that rebuild the closure
+    // whenever anything changed and re-price every chain from scratch (the
+    // pre-§9 pricing path).
     sofe::api::SolverOptions rebuild_opt;
     rebuild_opt.incremental = false;
     rebuild_opt.incremental_pricing = false;
     auto rebuilding = sofe::api::make_solver(registered, rebuild_opt);
     rebuilding->set_report_sink(&m.recompute);
-    auto ref_cfg = cfg;
-    ref_cfg.copy_problems = true;
     watch.reset();
-    const auto reference = simulate(topo, ref_cfg, *rebuilding);
+    const auto reference = simulate(topo, cfg, *rebuilding);
     m.rebuild_seconds = watch.seconds();
 
     m.identical = series_identical(m.series, reference);
@@ -309,7 +306,7 @@ WorkerSweep run_worker_sweep(const char* title, const sofe::topology::Topology& 
     sofe::online::PipelineOptions popt;
     popt.workers = workers;
     watch.reset();
-    const auto got = serve_pipelined(topo, cfg, "sofda", {}, popt);
+    const auto got = sofe::online::Pipeline(topo, cfg, "sofda", {}, popt).run();
     SweepPoint pt;
     pt.workers = workers;
     pt.seconds = watch.seconds();

@@ -162,18 +162,15 @@ DrillPoint run_point(const sofe::topology::Topology& topo, sofe::online::OnlineC
   if (quality_n > 0) pt.quality_vs_scratch = quality_sum / quality_n;
 
   if (budget < 0) {
-    // The from-scratch reference drill: per-arrival Problem copies and a
-    // cold session that rebuilds closures and re-prices every chain.  The
-    // warm incremental drill above must reproduce it bit for bit —
-    // recoveries included — or the resilience layer leaked session state
-    // into results.
-    auto ref_cfg = cfg;
-    ref_cfg.copy_problems = true;
+    // The from-scratch reference drill: a cold session that rebuilds
+    // closures and re-prices every chain.  The warm incremental drill above
+    // must reproduce it bit for bit — recoveries included — or the
+    // resilience layer leaked session state into results.
     sofe::api::SolverOptions cold_opt;
     cold_opt.incremental = false;
     cold_opt.incremental_pricing = false;
     auto cold = sofe::api::make_solver("sofda", cold_opt);
-    const auto reference = simulate(topo, ref_cfg, *cold);
+    const auto reference = simulate(topo, cfg, *cold);
     pt.identical_to_reference = series_identical(r, reference) && recoveries_identical(r, reference);
     if (!pt.unbounded_matches_scratch) {
       std::cerr << "ERROR: unbounded budget kept a repair over a feasible "
@@ -231,7 +228,7 @@ Panel run_panel(const char* title, const sofe::topology::Topology& topo,
       sofe::online::PipelineOptions popt;
       popt.workers = workers;
       sofe::util::Stopwatch watch;
-      const auto got = serve_pipelined(topo, drill_cfg, "sofda", {}, popt);
+      const auto got = sofe::online::Pipeline(topo, drill_cfg, "sofda", {}, popt).run();
       PipelinePoint pp;
       pp.workers = workers;
       pp.seconds = watch.seconds();

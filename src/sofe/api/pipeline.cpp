@@ -1,10 +1,10 @@
 #include "sofe/online/pipeline.hpp"
 
-// The admission pipeline's engine room (DESIGN.md §10).  Lives in api/
-// because it drives api::Solver sessions — the same layering as the
-// Solver& overload of online::simulate.
+// Both online drivers: the sequential `simulate` and the admission
+// pipeline's engine room (DESIGN.md §10).  They live in api/ because they
+// drive api::Solver sessions; their declarations stay in online/.
 //
-// Thread architecture: N worker threads plus the caller of run(), which
+// Pipeline threads: N worker threads plus the caller of run(), which
 // serves as both epoch publisher and commit stage.  One mutex guards all
 // shared state; workers claim queued slots, price them OUTSIDE the lock
 // against private Problem replicas (synced once per epoch from the
@@ -48,7 +48,61 @@ namespace sofe::online {
 
 namespace {
 using SteadyClock = std::chrono::steady_clock;
+
+/// Appends one committed epoch to the result's series — the fold both
+/// drivers share.  The running total continues from the series' last entry.
+void append_outcomes(const std::vector<SlotOutcome>& outcomes, OnlineResult& result) {
+  Cost accumulated = result.accumulative_cost.empty() ? 0.0 : result.accumulative_cost.back();
+  for (const SlotOutcome& out : outcomes) {
+    const bool admitted = out.status == SlotOutcome::Status::kAdmitted;
+    if (out.status == SlotOutcome::Status::kInfeasible) ++result.infeasible_requests;
+    if (admitted) accumulated += out.cost;
+    result.per_request_cost.push_back(admitted ? out.cost : 0.0);
+    result.accumulative_cost.push_back(accumulated);
+    result.accepted.push_back(admitted ? 1 : 0);
+    result.decision_utilization.push_back(out.decision_utilization);
+  }
+}
 }  // namespace
+
+OnlineResult simulate(const topology::Topology& topo, const OnlineConfig& cfg,
+                      api::Solver& solver) {
+  // The scenario's semantics (request sampling, master Problem, price
+  // refreshes, departures, commit order) live in ArrivalStream, shared with
+  // the pipeline.  At the default epoch_size 1 every epoch is a single
+  // arrival and this loop is the paper's Fig. 12 loop, bit for bit; at
+  // S > 1 it is the determinism reference the pipeline must reproduce at
+  // every worker count (DESIGN.md §10).
+  ArrivalStream stream(topo, cfg);
+  // Failure drill: recovery escalates to the session under test.
+  if (stream.has_failures()) {
+    stream.set_recovery_embedder([&solver](const Problem& p) { return solver.solve(p); });
+  }
+
+  OnlineResult result;
+  result.algorithm = std::string(solver.name());
+  result.epoch_size = cfg.epoch_size;
+  for (int first = 0; first < cfg.requests;) {
+    const int count = stream.open_epoch(first);
+    // Solve every slot of the epoch first, then commit the batch: solves
+    // read only the frozen snapshot (stage() swaps sources/destinations per
+    // slot) and commits only the ledger, so the split is bitwise the
+    // historical interleaving — and it is what lets admission policies rank
+    // the whole epoch (DESIGN.md §14).
+    std::vector<ServiceForest> forests;
+    forests.reserve(static_cast<std::size_t>(count));
+    for (int r = first; r < first + count; ++r) {
+      const Problem& p = stream.stage(r);
+      const util::Stopwatch watch;
+      forests.push_back(solver.solve(p));
+      result.arrival_seconds.push_back(watch.seconds());
+    }
+    append_outcomes(stream.commit_epoch(first, forests), result);
+    first += count;
+  }
+  stream.finish(result);
+  return result;
+}
 
 struct Pipeline::Impl {
   Impl(const topology::Topology& topo, const OnlineConfig& cfg, std::string solver_name,
@@ -143,6 +197,7 @@ struct Pipeline::Impl {
 
   void worker_main(Problem replica);
   void publish_epoch(int first, int* count, int committed);
+  void serve(OnlineResult& result);
   OnlineResult run();
 };
 
@@ -301,36 +356,9 @@ void Pipeline::Impl::publish_epoch(int first, int* count, int committed) {
   cv_work.notify_all();
 }
 
-OnlineResult Pipeline::Impl::run() {
-  assert(!ran && "Pipeline::run() may be called once");
-  ran = true;
-
+void Pipeline::Impl::serve(OnlineResult& result) {
   const int total = stream.requests();
-  slots.resize(static_cast<std::size_t>(total));
-  eligible_at.resize(static_cast<std::size_t>(total));
-
-  // Probe the registry once for the family's name and closure appetite;
-  // workers build their own sessions.
-  OnlineResult result;
-  {
-    const auto probe = api::make_solver(solver_name, opt);
-    result.algorithm = std::string(probe->name());
-    use_epoch = probe->wants_epoch_closure();
-  }
-  result.workers = workers;
-  result.epoch_size = stream.epoch_size();
-  result.arrival_seconds.assign(static_cast<std::size_t>(total), 0.0);
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    // Replicas are copied before the first epoch opens, so no worker can
-    // observe a half-refreshed master.
-    pool.emplace_back(&Impl::worker_main, this, stream.master());
-  }
-
-  Cost accumulated = 0.0;
-  for (int first = 0; first < total && !failure;) {
+  for (int first = 0; first < total;) {
     int count = 0;
     {
       const util::Stopwatch publish_watch;
@@ -355,7 +383,7 @@ OnlineResult Pipeline::Impl::run() {
         cv_main.wait(lock, [&] {
           return slots[static_cast<std::size_t>(r)].ready || failure != nullptr;
         });
-        if (failure) break;
+        if (failure) return;  // a worker failed; run() rethrows it
         s = std::move(slots[static_cast<std::size_t>(r)]);
       }
       // The slot survived every stale scan since it was priced, so its
@@ -364,7 +392,6 @@ OnlineResult Pipeline::Impl::run() {
       forests.push_back(std::move(s.forest));
       epoch_slots.push_back(std::move(s));
     }
-    if (failure) break;
 
     const util::Stopwatch commit_watch;
     const auto outcomes = stream.commit_epoch(first, forests);
@@ -372,16 +399,9 @@ OnlineResult Pipeline::Impl::run() {
     // commit wall time is split evenly across its slots.
     const double commit_share =
         count > 0 ? commit_watch.seconds() / static_cast<double>(count) : 0.0;
+    append_outcomes(outcomes, result);
     for (int i = 0; i < count; ++i) {
-      const SlotOutcome& out = outcomes[static_cast<std::size_t>(i)];
       const Slot& s = epoch_slots[static_cast<std::size_t>(i)];
-      const bool admitted = out.status == SlotOutcome::Status::kAdmitted;
-      if (out.status == SlotOutcome::Status::kInfeasible) ++result.infeasible_requests;
-      if (admitted) accumulated += out.cost;
-      result.per_request_cost.push_back(admitted ? out.cost : 0.0);
-      result.accumulative_cost.push_back(accumulated);
-      result.accepted.push_back(admitted ? 1 : 0);
-      result.decision_utilization.push_back(out.decision_utilization);
       result.arrival_seconds[static_cast<std::size_t>(first + i)] = s.solve_seconds;
       if (sink != nullptr) {
         sink->add(s.report);
@@ -391,13 +411,53 @@ OnlineResult Pipeline::Impl::run() {
     }
     first += count;
   }
+}
 
+OnlineResult Pipeline::Impl::run() {
+  assert(!ran && "Pipeline::run() may be called once");
+  ran = true;
+
+  const int total = stream.requests();
+  slots.resize(static_cast<std::size_t>(total));
+  eligible_at.resize(static_cast<std::size_t>(total));
+
+  // Probe the registry once for the family's name and closure appetite;
+  // workers build their own sessions.
+  OnlineResult result;
   {
-    const std::lock_guard<std::mutex> lock(mu);
-    done = true;
+    const auto probe = api::make_solver(solver_name, opt);
+    result.algorithm = std::string(probe->name());
+    use_epoch = probe->wants_epoch_closure();
   }
-  cv_work.notify_all();
-  for (std::thread& th : pool) th.join();
+  result.workers = workers;
+  result.epoch_size = stream.epoch_size();
+  result.arrival_seconds.assign(static_cast<std::size_t>(total), 0.0);
+
+  // The pool is stopped and joined on every exit path before anything
+  // propagates: a throw on this thread (a drill's recovery re-embed runs
+  // inside open_epoch) must not unwind past joinable threads.
+  std::vector<std::thread> pool;
+  const auto join_workers = [&] {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      done = true;
+    }
+    cv_work.notify_all();
+    for (std::thread& th : pool) th.join();
+  };
+  try {
+    pool.reserve(static_cast<std::size_t>(workers));
+    for (int w = 0; w < workers; ++w) {
+      // Replicas are copied before the first epoch opens, so no worker can
+      // observe a half-refreshed master.
+      pool.emplace_back(&Impl::worker_main, this, stream.master());
+    }
+    serve(result);
+  } catch (...) {
+    join_workers();
+    throw;
+  }
+  join_workers();
   if (use_epoch) publisher.retire();
   if (failure) std::rethrow_exception(failure);
 
@@ -420,11 +480,5 @@ Pipeline::~Pipeline() = default;
 void Pipeline::set_report_sink(api::ReportAccumulator* sink) noexcept { impl_->sink = sink; }
 
 OnlineResult Pipeline::run() { return impl_->run(); }
-
-OnlineResult serve_pipelined(const topology::Topology& topo, const OnlineConfig& cfg,
-                             const std::string& solver_name, const api::SolverOptions& opt,
-                             PipelineOptions popt) {
-  return Pipeline(topo, cfg, solver_name, opt, popt).run();
-}
 
 }  // namespace sofe::online

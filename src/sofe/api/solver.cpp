@@ -6,22 +6,7 @@
 
 #include "sofe/api/report.hpp"
 #include "sofe/dist/sharded_closure.hpp"
-#include "sofe/online/simulator.hpp"
 #include "sofe/util/stopwatch.hpp"
-
-namespace sofe::online {
-
-OnlineResult simulate(const topology::Topology& topo, const OnlineConfig& cfg,
-                      api::Solver& solver) {
-  // One code path for both overloads: the session is just another embedder,
-  // which is what makes the bit-identity guarantee structural rather than
-  // maintained by hand.  Defined here (not in online/) so the layer DAG
-  // stays one-directional: api depends on online, never the reverse.
-  return simulate(topo, cfg, std::string(solver.name()),
-                  [&solver](const Problem& p) { return solver.solve(p); });
-}
-
-}  // namespace sofe::online
 
 namespace sofe::api {
 

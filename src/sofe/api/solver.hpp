@@ -105,15 +105,6 @@ struct SolverOptions {
     o.closure_threads = threads;
     return o;
   }
-
-  static SolverOptions from(const core::AlgoOptions& o) {
-    SolverOptions s;
-    s.stroll = o.stroll;
-    s.steiner = o.steiner;
-    s.shorten = o.shorten;
-    s.threads = o.closure_threads;
-    return s;
-  }
 };
 
 /// Uniform per-solve diagnostics, filled by Solver::solve.  Absorbs

@@ -20,9 +20,8 @@
 // re-solves at current prices (the stale-price repricing rule, §10).
 //
 // Declared here in the online layer, implemented in src/sofe/api/
-// pipeline.cpp: the pipeline drives api::Solver sessions, and the layer
-// DAG has api on top of online (the same split as the Solver& overload of
-// online::simulate).
+// pipeline.cpp beside the sequential driver: both drive api::Solver
+// sessions, and the layer DAG has api on top of online.
 
 #include <memory>
 #include <string>
@@ -69,17 +68,14 @@ class Pipeline {
   /// Serves the whole stream: spawns the workers, runs the epoch publish /
   /// commit loop on the calling thread, joins, and returns the same
   /// OnlineResult the sequential driver produces (plus the pipeline
-  /// diagnostics fields).  Worker exceptions are rethrown here.
+  /// diagnostics fields).  An exception from a worker's solve, or from
+  /// the calling thread (a drill's recovery re-embed runs there), is
+  /// rethrown here once every worker has been joined.
   OnlineResult run();
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Convenience one-shot: Pipeline(...).run().
-OnlineResult serve_pipelined(const topology::Topology& topo, const OnlineConfig& cfg,
-                             const std::string& solver_name, const api::SolverOptions& opt,
-                             PipelineOptions popt = {});
 
 }  // namespace sofe::online

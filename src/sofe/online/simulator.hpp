@@ -10,7 +10,6 @@
 // plots, plus congestion statistics.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -30,9 +29,6 @@ using core::Cost;
 using core::Problem;
 using core::ServiceForest;
 
-/// The algorithm under test: problem in, forest out.
-using EmbedFn = std::function<ServiceForest(const Problem&)>;
-
 struct OnlineConfig {
   int requests = 30;
   int min_destinations = 13, max_destinations = 17;  // SoftLayer defaults
@@ -51,11 +47,6 @@ struct OnlineConfig {
   /// shape the session's incremental repair consumes.  0 (the default, and
   /// the paper's Fig. 12 setting) means requests never depart.
   int holding_arrivals = 0;
-  /// Differential-testing reference mode: hand every embedder a fresh
-  /// Problem copy per arrival instead of the persistent instance.  Output
-  /// must be bit-identical either way (tested) — the persistent path
-  /// differs only in what the session caches can reuse, never in values.
-  bool copy_problems = false;
   /// Price-refresh granularity (DESIGN.md §10): link and VM prices refresh
   /// from the ledger once per epoch of this many arrivals, and every
   /// arrival of an epoch is priced against that one immutable snapshot
@@ -165,32 +156,27 @@ struct OnlineResult {
   std::vector<resilience::RecoveryReport> recoveries;
 };
 
-/// Runs the request sequence against one algorithm.  The identical sequence
-/// is regenerated from cfg.seed for every algorithm, so series are paired.
+/// The sequential driver: runs the request sequence against one solver
+/// session.  The identical sequence is regenerated from cfg.seed for every
+/// solver, so series are paired.
 ///
-/// Persistent-Problem contract (DESIGN.md §8): the simulator builds ONE
+/// Persistent-Problem contract (DESIGN.md §8): the driver builds ONE
 /// Problem — topology + VM taps — up front and mutates it in place per
 /// arrival (sources/destinations reassigned, only the link prices that
 /// actually moved rewritten via set_edge_cost, VM setup costs refreshed).
 /// No per-arrival copy exists, so the network keeps its CSR cache across
-/// arrivals and a solver session sees a cost-only delta between
-/// consecutive solves — which its ClosureSession detects and repairs
-/// instead of rebuilding.  Embedders receive the instance by const
-/// reference, may keep no pointers past the call, and the values they see
-/// are identical to the historical copy-per-arrival driver's
-/// (cfg.copy_problems restores that driver for differential tests).
-OnlineResult simulate(const topology::Topology& topo, const OnlineConfig& cfg,
-                      const std::string& algo_name, const EmbedFn& embed);
-
-/// Runs the request sequence against a persistent solver session (the api
-/// layer).  With the persistent Problem above, consecutive arrivals differ
-/// by link-price deltas plus the sampled source hubs, so an incremental
-/// session (SolverOptions::incremental) repairs its hub trees per arrival
-/// and builds only the new source roots — arrival cost scales with the
-/// size of the price change, not the graph.  The cost series is
-/// bit-identical to embedding each arrival with the equivalent free
-/// function (tested).  Attach a ReportAccumulator via
+/// arrivals and consecutive solves differ by link-price deltas plus the
+/// sampled source hubs: an incremental session (SolverOptions::incremental)
+/// repairs its hub trees per arrival and builds only the new source roots,
+/// so arrival cost scales with the size of the price change, not the graph.
+/// The series is bit-identical to a recomputing session's (incremental and
+/// incremental_pricing off; tested).  A failure drill's recovery
+/// re-embeds run on the same session.  Attach a ReportAccumulator via
 /// Solver::set_report_sink to collect per-arrival phase timings.
+///
+/// Declared here, implemented in src/sofe/api/pipeline.cpp beside
+/// online::Pipeline: both drivers run api::Solver sessions, and the layer
+/// DAG has api on top of online.
 OnlineResult simulate(const topology::Topology& topo, const OnlineConfig& cfg,
                       api::Solver& solver);
 

@@ -150,13 +150,6 @@ class ArrivalStream {
   /// True when an admission policy is configured (enforced-capacity mode).
   bool has_admission() const noexcept { return policy_ != nullptr; }
 
-  /// Replaces the policy parsed from OnlineConfig::admission (test seam for
-  /// custom policies, e.g. replaying a recorded decision log).  Must be
-  /// called before the first open_epoch; pass nullptr to disable admission.
-  void set_admission_policy(std::unique_ptr<AdmissionPolicy> policy) {
-    policy_ = std::move(policy);
-  }
-
   /// Per-request ledger charges of slot r's live embedding (empty unless
   /// charges are tracked: holding, drills or admission).  One entry per
   /// charged stream copy / enabled VNF slot, multiplicity preserved.
@@ -173,8 +166,8 @@ class ArrivalStream {
 
   /// Installs the from-scratch re-embedder recovery escalates to.  Must be
   /// set before the first open_epoch of a drill; each driver installs its
-  /// own (the free-function driver wraps the embedder under test, the
-  /// pipeline a dedicated solver session — interchangeable, because
+  /// own (the sequential driver its session under test, the pipeline a
+  /// dedicated session of the same family — interchangeable, because
   /// sessions are pure speed knobs).
   void set_recovery_embedder(resilience::EmbedFn embed) {
     recovery_embed_ = std::move(embed);

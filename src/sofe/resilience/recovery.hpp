@@ -36,8 +36,8 @@
 namespace sofe::resilience {
 
 /// The from-scratch re-embedder: problem in, forest out (empty = infeasible).
-/// Mirrors online::EmbedFn; redeclared on core types so resilience never
-/// includes the online layer.
+/// The online drivers install a solver session's solve() here
+/// (online::ArrivalStream::set_recovery_embedder).
 using EmbedFn = std::function<core::ServiceForest(const core::Problem&)>;
 
 /// What recover_request decided for one affected request.  Costs are

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sofe/api/registry.hpp"
-#include "sofe/core/sofda.hpp"
 #include "sofe/costmodel/load_ledger.hpp"
 #include "sofe/online/admission.hpp"
 #include "sofe/online/pipeline.hpp"
@@ -46,8 +45,6 @@ OnlineConfig tight_config() {
   cfg.admission = "greedy";
   return cfg;
 }
-
-ServiceForest sofda_embed(const Problem& p) { return core::sofda(p); }
 
 OnlineResult run_sequential(const topology::Topology& topo, const OnlineConfig& cfg) {
   auto solver = api::make_solver("sofda");
@@ -275,12 +272,12 @@ TEST(AdmissionSpec, BothDriversThrowFromValidate) {
   const auto topo = topology::softlayer();
   auto cfg = tight_config();
   cfg.admission = "threshold-price,theta=nope";
-  EXPECT_THROW(simulate(topo, cfg, "x", sofda_embed), std::invalid_argument);
+  EXPECT_THROW(run_sequential(topo, cfg), std::invalid_argument);
   EXPECT_THROW(Pipeline(topo, cfg, "sofda", {}), std::invalid_argument);
   cfg = tight_config();
   cfg.link_capacity = -1.0;
   try {
-    simulate(topo, cfg, "x", sofda_embed);
+    run_sequential(topo, cfg);
     FAIL() << "negative link_capacity must throw";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("link_capacity"), std::string::npos) << e.what();
@@ -454,7 +451,7 @@ TEST(AdmissionDeterminism, PipelineMatchesSequentialForEveryPolicyAcrossSxW) {
                      " W=" + std::to_string(workers));
         PipelineOptions popt;
         popt.workers = workers;
-        const auto got = serve_pipelined(topo, cfg, "sofda", {}, popt);
+        const auto got = Pipeline(topo, cfg, "sofda", {}, popt).run();
         expect_admission_series_identical(ref, got);
       }
     }
@@ -492,7 +489,7 @@ TEST(AdmissionComposition, DepartureFreesCapacityForALaterArrival) {
   const auto ref = run_sequential(topo, cfg);
   PipelineOptions popt;
   popt.workers = 2;
-  expect_admission_series_identical(ref, serve_pipelined(topo, cfg, "sofda", {}, popt));
+  expect_admission_series_identical(ref, Pipeline(topo, cfg, "sofda", {}, popt).run());
 }
 
 TEST(AdmissionComposition, FailureDrillUnderCapacityPressure) {
@@ -519,7 +516,7 @@ TEST(AdmissionComposition, FailureDrillUnderCapacityPressure) {
       SCOPED_TRACE("S=" + std::to_string(epoch_size) + " W=" + std::to_string(workers));
       PipelineOptions popt;
       popt.workers = workers;
-      expect_admission_series_identical(ref, serve_pipelined(topo, pcfg, "sofda", {}, popt));
+      expect_admission_series_identical(ref, Pipeline(topo, pcfg, "sofda", {}, popt).run());
     }
   }
 }
@@ -540,11 +537,12 @@ TEST(AdmissionFuzz, LedgerNeverExceedsCapacityInEnforcedMode) {
     cfg.holding_arrivals = 5;
     ArrivalStream stream(topo, cfg);
     ASSERT_TRUE(stream.has_admission());
+    const auto solver = api::make_solver("sofda");
     for (int first = 0; first < cfg.requests;) {
       const int count = stream.open_epoch(first);
       std::vector<ServiceForest> forests;
       for (int r = first; r < first + count; ++r) {
-        forests.push_back(sofda_embed(stream.stage(r)));
+        forests.push_back(solver->solve(stream.stage(r)));
       }
       stream.commit_epoch(first, forests);
       const auto& led = stream.ledger();
@@ -621,6 +619,7 @@ TEST(AdmissionFuzz, ReplayingTheDecisionLogReproducesTheLedgerEndState) {
     cfg.epoch_size = 4;
     cfg.holding_arrivals = 6;  // >= epoch_size: charges stay live through each epoch
     ArrivalStream stream(topo, cfg);
+    const auto solver = api::make_solver("sofda");
     std::vector<char> admitted(static_cast<std::size_t>(cfg.requests), 0);
     std::vector<std::vector<graph::EdgeId>> links(admitted.size());
     std::vector<std::vector<std::size_t>> hosts(admitted.size());
@@ -628,7 +627,7 @@ TEST(AdmissionFuzz, ReplayingTheDecisionLogReproducesTheLedgerEndState) {
       const int count = stream.open_epoch(first);
       std::vector<ServiceForest> forests;
       for (int r = first; r < first + count; ++r) {
-        forests.push_back(sofda_embed(stream.stage(r)));
+        forests.push_back(solver->solve(stream.stage(r)));
       }
       const auto outcomes = stream.commit_epoch(first, forests);
       for (int i = 0; i < count; ++i) {

@@ -1,6 +1,7 @@
 // Tests for the sofe::api layer: the SolverRegistry round-trip, the
 // session's closure-cache reuse/invalidation semantics, parallel-pricing
-// bit-identity, and the simulate(Solver&) equivalence guarantee.
+// bit-identity, and warm sessions reproducing a recomputing session's
+// online series bitwise.
 
 #include <gtest/gtest.h>
 
@@ -479,35 +480,10 @@ TEST(PricingCache, AccumulatorAggregatesPricingTallies) {
   EXPECT_EQ(acc.pricing_flushes(), 1u);
 }
 
-TEST(OnlineSession, SimulateWithSolverMatchesEmbedFnBitForBit) {
-  const auto topo = topology::softlayer();
-  online::OnlineConfig cfg;
-  cfg.requests = 6;
-  cfg.min_destinations = 3;
-  cfg.max_destinations = 5;
-  cfg.min_sources = 2;
-  cfg.max_sources = 3;
-  cfg.seed = 77;
-
-  const auto legacy = online::simulate(topo, cfg, "sofda",
-                                       [](const Problem& p) { return core::sofda(p); });
-  auto solver = make_solver("sofda");
-  const auto session = online::simulate(topo, cfg, *solver);
-
-  EXPECT_EQ(session.algorithm, "sofda");
-  ASSERT_EQ(session.accumulative_cost.size(), legacy.accumulative_cost.size());
-  for (std::size_t i = 0; i < legacy.accumulative_cost.size(); ++i) {
-    EXPECT_EQ(session.accumulative_cost[i], legacy.accumulative_cost[i]);  // bitwise
-    EXPECT_EQ(session.per_request_cost[i], legacy.per_request_cost[i]);
-  }
-  EXPECT_EQ(session.infeasible_requests, legacy.infeasible_requests);
-  EXPECT_EQ(session.overloaded_links, legacy.overloaded_links);
-}
-
 TEST(OnlineSession, HoldingDeparturesStayBitIdenticalWithPricingCache) {
   // Departures return their ledger charges as cost-RESTORE deltas; the
   // pricing cache must ride both delta directions through the arrival
-  // loop and reproduce the free-function series exactly.
+  // loop and reproduce the recomputing session's series exactly.
   const auto topo = topology::softlayer();
   online::OnlineConfig cfg;
   cfg.requests = 10;
@@ -518,16 +494,20 @@ TEST(OnlineSession, HoldingDeparturesStayBitIdenticalWithPricingCache) {
   cfg.holding_arrivals = 3;
   cfg.seed = 99;
 
-  const auto legacy = online::simulate(topo, cfg, "sofda",
-                                       [](const Problem& p) { return core::sofda(p); });
+  SolverOptions recompute_opt;
+  recompute_opt.incremental = false;
+  recompute_opt.incremental_pricing = false;
+  auto recomputing = make_solver("sofda", recompute_opt);
+  const auto reference = online::simulate(topo, cfg, *recomputing);
   auto solver = make_solver("sofda");
   const auto session = online::simulate(topo, cfg, *solver);
-  ASSERT_EQ(session.accumulative_cost.size(), legacy.accumulative_cost.size());
-  for (std::size_t i = 0; i < legacy.accumulative_cost.size(); ++i) {
-    EXPECT_EQ(session.accumulative_cost[i], legacy.accumulative_cost[i]);  // bitwise
+  EXPECT_EQ(session.algorithm, "sofda");
+  ASSERT_EQ(session.accumulative_cost.size(), reference.accumulative_cost.size());
+  for (std::size_t i = 0; i < reference.accumulative_cost.size(); ++i) {
+    EXPECT_EQ(session.accumulative_cost[i], reference.accumulative_cost[i]);  // bitwise
   }
-  EXPECT_EQ(session.infeasible_requests, legacy.infeasible_requests);
-  EXPECT_EQ(session.overloaded_links, legacy.overloaded_links);
+  EXPECT_EQ(session.infeasible_requests, reference.infeasible_requests);
+  EXPECT_EQ(session.overloaded_links, reference.overloaded_links);
 }
 
 TEST(ReportAccumulator, AggregatesPhaseTimingsAndCacheOutcomes) {
@@ -589,9 +569,6 @@ TEST(SolverOptions, RoundTripsThroughAlgoOptions) {
   EXPECT_EQ(a.steiner, o.steiner);
   EXPECT_EQ(a.shorten, o.shorten);
   EXPECT_EQ(a.closure_threads, 8);
-  const auto back = SolverOptions::from(a);
-  EXPECT_EQ(back.threads, 8);
-  EXPECT_EQ(back.steiner, o.steiner);
 }
 
 // --- Steady-state closure engine (DESIGN.md §13) --------------------------

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sofe/api/registry.hpp"
 #include "sofe/baselines/baselines.hpp"
 #include "sofe/core/dynamic.hpp"
 #include "sofe/core/sofda.hpp"
@@ -140,12 +141,10 @@ TEST(Integration, OnlineSequenceAllAlgorithms) {
   cfg.max_sources = 4;
   cfg.vms_per_dc = 3;
   cfg.seed = 7;
-  const auto sofda_r = online::simulate(topo, cfg, "SOFDA", [](const core::Problem& p) {
-    return core::sofda(p);
-  });
-  const auto est_r = online::simulate(topo, cfg, "eST", [](const core::Problem& p) {
-    return baselines::run(p, baselines::Kind::kEst);
-  });
+  const auto sofda_solver = api::make_solver("sofda");
+  const auto est_solver = api::make_solver("baseline/est");
+  const auto sofda_r = online::simulate(topo, cfg, *sofda_solver);
+  const auto est_r = online::simulate(topo, cfg, *est_solver);
   EXPECT_EQ(sofda_r.infeasible_requests, 0);
   EXPECT_EQ(est_r.infeasible_requests, 0);
   EXPECT_GT(sofda_r.accumulative_cost.back(), 0.0);

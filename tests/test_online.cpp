@@ -6,11 +6,11 @@
 
 #include <set>
 #include <stdexcept>
+#include <string>
 
+#include "callback_solver.hpp"
 #include "sofe/api/registry.hpp"
 #include "sofe/api/report.hpp"
-#include "sofe/baselines/baselines.hpp"
-#include "sofe/core/sofda.hpp"
 #include "sofe/core/validate.hpp"
 #include "sofe/online/simulator.hpp"
 #include "sofe/online/stream.hpp"
@@ -31,24 +31,37 @@ OnlineConfig small_config() {
   return cfg;
 }
 
-EmbedFn sofda_fn() {
-  return [](const Problem& p) { return core::sofda(p); };
+/// The stream through a fresh registry session (default options).
+OnlineResult run(const topology::Topology& topo, const OnlineConfig& cfg,
+                 const std::string& solver_name = "sofda",
+                 const api::SolverOptions& opt = {}) {
+  auto solver = api::make_solver(solver_name, opt);
+  return simulate(topo, cfg, *solver);
+}
+
+/// A session that rebuilds its closure and re-prices every chain on every
+/// solve: the cache-free reference warm sessions must reproduce bitwise.
+OnlineResult run_recomputing(const topology::Topology& topo, const OnlineConfig& cfg) {
+  api::SolverOptions opt;
+  opt.incremental = false;
+  opt.incremental_pricing = false;
+  return run(topo, cfg, "sofda", opt);
 }
 
 TEST(Online, AccumulativeCostMonotone) {
   const auto topo = topology::softlayer();
-  const auto r = simulate(topo, small_config(), "SOFDA", sofda_fn());
+  const auto r = run(topo, small_config());
   ASSERT_EQ(r.accumulative_cost.size(), 8u);
   for (std::size_t i = 1; i < r.accumulative_cost.size(); ++i) {
     EXPECT_GE(r.accumulative_cost[i], r.accumulative_cost[i - 1]);
   }
   EXPECT_EQ(r.infeasible_requests, 0);
-  EXPECT_EQ(r.algorithm, "SOFDA");
+  EXPECT_EQ(r.algorithm, "sofda");
 }
 
 TEST(Online, PerRequestSumsToAccumulative) {
   const auto topo = topology::softlayer();
-  const auto r = simulate(topo, small_config(), "SOFDA", sofda_fn());
+  const auto r = run(topo, small_config());
   double sum = 0.0;
   for (std::size_t i = 0; i < r.per_request_cost.size(); ++i) {
     sum += r.per_request_cost[i];
@@ -60,15 +73,16 @@ TEST(Online, EmbeddingsAreValidatedPerRequest) {
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   int checked = 0;
-  const auto fn = [&checked](const Problem& p) {
-    auto f = core::sofda(p);
+  const auto inner = api::make_solver("sofda");
+  test::CallbackSolver validating([&](const Problem& p) {
+    auto f = inner->solve(p);
     if (!f.empty()) {
       EXPECT_TRUE(core::is_feasible(p, f)) << core::validate(p, f).summary();
       ++checked;
     }
     return f;
-  };
-  simulate(topo, cfg, "checked", fn);
+  });
+  simulate(topo, cfg, validating);
   EXPECT_EQ(checked, cfg.requests);
 }
 
@@ -78,7 +92,7 @@ TEST(Online, PricesRiseWithLoad) {
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.requests = 24;
-  const auto r = simulate(topo, cfg, "SOFDA", sofda_fn());
+  const auto r = run(topo, cfg);
   double early = 0.0, late = 0.0;
   for (int i = 0; i < 8; ++i) early += r.per_request_cost[static_cast<std::size_t>(i)];
   for (int i = 16; i < 24; ++i) late += r.per_request_cost[static_cast<std::size_t>(i)];
@@ -88,10 +102,10 @@ TEST(Online, PricesRiseWithLoad) {
 TEST(Online, SameSeedSameRequestSequence) {
   const auto topo = topology::softlayer();
   const auto cfg = small_config();
-  // Two algorithms see identical request workloads: with an identical
-  // embedder the whole series must match.
-  const auto a = simulate(topo, cfg, "A", sofda_fn());
-  const auto b = simulate(topo, cfg, "B", sofda_fn());
+  // Two runs see identical request workloads: with identical solvers the
+  // whole series must match.
+  const auto a = run(topo, cfg);
+  const auto b = run(topo, cfg);
   ASSERT_EQ(a.accumulative_cost.size(), b.accumulative_cost.size());
   for (std::size_t i = 0; i < a.accumulative_cost.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.accumulative_cost[i], b.accumulative_cost[i]);
@@ -102,13 +116,9 @@ TEST(Online, SofdaAccumulatesLessThanBaselines) {
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.requests = 12;
-  const auto sofda_r = simulate(topo, cfg, "SOFDA", sofda_fn());
-  const auto est_r = simulate(topo, cfg, "eST", [](const Problem& p) {
-    return baselines::run(p, baselines::Kind::kEst);
-  });
-  const auto st_r = simulate(topo, cfg, "ST", [](const Problem& p) {
-    return baselines::run(p, baselines::Kind::kSt);
-  });
+  const auto sofda_r = run(topo, cfg);
+  const auto est_r = run(topo, cfg, "baseline/est");
+  const auto st_r = run(topo, cfg, "baseline/st");
   // Fig. 12 shape: SOFDA's accumulative cost stays below the baselines.
   EXPECT_LT(sofda_r.accumulative_cost.back(), est_r.accumulative_cost.back());
   EXPECT_LT(sofda_r.accumulative_cost.back(), st_r.accumulative_cost.back());
@@ -118,7 +128,8 @@ TEST(Online, InfeasibleEmbedderCountsAndContinues) {
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.requests = 3;
-  const auto r = simulate(topo, cfg, "null", [](const Problem&) { return ServiceForest{}; });
+  test::CallbackSolver null_solver([](const Problem&) { return ServiceForest{}; });
+  const auto r = simulate(topo, cfg, null_solver);
   EXPECT_EQ(r.infeasible_requests, 3);
   EXPECT_DOUBLE_EQ(r.accumulative_cost.back(), 0.0);
 }
@@ -133,39 +144,15 @@ void expect_results_identical(const OnlineResult& a, const OnlineResult& b) {
   EXPECT_EQ(a.overloaded_links, b.overloaded_links);
 }
 
-TEST(OnlinePersistentProblem, BitIdenticalToTheCopyingReferenceDriver) {
-  // The persistent-Problem simulator must hand every embedder exactly the
-  // values the historical copy-per-arrival driver produced.
-  const auto topo = topology::softlayer();
-  auto cfg = small_config();
-  cfg.requests = 10;
-  const auto persistent = simulate(topo, cfg, "SOFDA", sofda_fn());
-  auto ref_cfg = cfg;
-  ref_cfg.copy_problems = true;
-  const auto copying = simulate(topo, ref_cfg, "SOFDA", sofda_fn());
-  expect_results_identical(persistent, copying);
-}
-
-TEST(OnlinePersistentProblem, SessionWithRepairBitIdenticalToCopyingReference) {
+TEST(OnlinePersistentProblem, SessionWithRepairBitIdenticalToRecomputingSession) {
   // The full acceptance chain: persistent Problem -> cost-only deltas ->
-  // ClosureSession repair, against the copying driver + per-arrival
-  // rebuilds.  Forests, costs and the accept/reject sequence must agree
-  // bit for bit.
+  // ClosureSession repair + pricing cache, against a session that rebuilds
+  // and re-prices per arrival.  Forests, costs and the accept/reject
+  // sequence must agree bit for bit.
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.requests = 10;
-
-  auto incremental = api::make_solver("sofda");
-  const auto repaired = simulate(topo, cfg, *incremental);
-
-  auto ref_cfg = cfg;
-  ref_cfg.copy_problems = true;
-  api::SolverOptions rebuild_opt;
-  rebuild_opt.incremental = false;
-  auto rebuilding = api::make_solver("sofda", rebuild_opt);
-  const auto rebuilt = simulate(topo, ref_cfg, *rebuilding);
-
-  expect_results_identical(repaired, rebuilt);
+  expect_results_identical(run(topo, cfg), run_recomputing(topo, cfg));
 }
 
 TEST(OnlinePersistentProblem, SessionSeesCostDeltasAndRepairs) {
@@ -188,10 +175,10 @@ TEST(OnlineDepartures, InfiniteHoldingMatchesNoHoldingBitForBit) {
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.requests = 10;
-  const auto never = simulate(topo, cfg, "SOFDA", sofda_fn());
+  const auto never = run(topo, cfg);
   auto held = cfg;
   held.holding_arrivals = cfg.requests;  // departs only after the stream ends
-  const auto outlives = simulate(topo, held, "SOFDA", sofda_fn());
+  const auto outlives = run(topo, held);
   expect_results_identical(never, outlives);
 }
 
@@ -199,21 +186,16 @@ TEST(OnlineDepartures, ChargesAreRestoredWhenRequestsDepart) {
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.requests = 20;
-  const auto loaded = simulate(topo, cfg, "SOFDA", sofda_fn());
+  const auto loaded = run(topo, cfg);
   auto held = cfg;
   held.holding_arrivals = 1;  // every request departs before the next
-  const auto churn = simulate(topo, held, "SOFDA", sofda_fn());
+  const auto churn = run(topo, held);
   EXPECT_EQ(churn.infeasible_requests, 0);
   // With immediate departures the network never accumulates load, so the
   // final state cannot be more congested than the never-departing run, and
   // the total cost cannot exceed it (prices are monotone in load).
   EXPECT_LE(churn.overloaded_links, loaded.overloaded_links);
   EXPECT_LE(churn.accumulative_cost.back(), loaded.accumulative_cost.back());
-  // Departures restore prices, so the series still matches its own
-  // copying-reference run bit for bit.
-  auto ref = held;
-  ref.copy_problems = true;
-  expect_results_identical(churn, simulate(topo, ref, "SOFDA", sofda_fn()));
 }
 
 // --- Recurring-source mode (DESIGN.md §13) -------------------------------

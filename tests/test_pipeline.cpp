@@ -1,16 +1,21 @@
 // Epoch-pipelined admission service tests (DESIGN.md §10): worker-count
 // determinism against the sequential driver, the stale-price repricing
-// rule under mid-epoch departures, OnlineConfig validation, and the
-// price_epoch generation dedup.
+// rule under mid-epoch departures, OnlineConfig validation, the
+// price_epoch generation dedup, and fault injection into both drivers.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
+#include <thread>
 
+#include "callback_solver.hpp"
 #include "sofe/api/registry.hpp"
 #include "sofe/api/report.hpp"
 #include "sofe/core/pricing.hpp"
-#include "sofe/core/sofda.hpp"
 #include "sofe/graph/metric_closure.hpp"
 #include "sofe/online/pipeline.hpp"
 #include "sofe/online/stream.hpp"
@@ -46,6 +51,16 @@ OnlineResult sequential_reference(const topology::Topology& topo, const OnlineCo
   return simulate(topo, cfg, *solver);
 }
 
+/// The sequential driver over a session that rebuilds its closure and
+/// re-prices every chain per arrival: the cache-free reference.
+OnlineResult recomputing_reference(const topology::Topology& topo, const OnlineConfig& cfg) {
+  api::SolverOptions opt;
+  opt.incremental = false;
+  opt.incremental_pricing = false;
+  auto solver = api::make_solver("sofda", opt);
+  return simulate(topo, cfg, *solver);
+}
+
 // The tentpole contract: at every worker count and epoch size, with and
 // without departures, on more than one topology, the pipeline's cost
 // series is bitwise the sequential driver's.
@@ -61,7 +76,7 @@ TEST(PipelineDeterminism, MatchesSequentialDriverAcrossWorkersEpochsHolding) {
         for (int workers : {1, 2, 8}) {
           PipelineOptions popt;
           popt.workers = workers;
-          const OnlineResult got = serve_pipelined(topo, cfg, "sofda", {}, popt);
+          const OnlineResult got = Pipeline(topo, cfg, "sofda", {}, popt).run();
           SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
                        " S=" + std::to_string(epoch_size) + " W=" + std::to_string(workers));
           expect_series_identical(ref, got);
@@ -107,7 +122,7 @@ TEST(PipelineDeterminism, RetentionWindowIsAPureSpeedKnobAcrossThreadsAndWorkers
           SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
                        " retention=" + std::to_string(retention) +
                        " workers=" + std::to_string(workers));
-          expect_series_identical(ref, serve_pipelined(topo, cfg, "sofda", opt, popt));
+          expect_series_identical(ref, Pipeline(topo, cfg, "sofda", opt, popt).run());
         }
       }
     }
@@ -115,19 +130,17 @@ TEST(PipelineDeterminism, RetentionWindowIsAPureSpeedKnobAcrossThreadsAndWorkers
 }
 
 // online::simulate re-expressed: at epoch_size 1 the sequential driver IS
-// the historical per-arrival loop (pinned against the free function), and
-// the 1-worker pipeline reproduces it through the full publish/commit
-// machinery.
+// the historical per-arrival loop (pinned against the cache-free
+// recomputing session), and the 1-worker pipeline reproduces it through
+// the full publish/commit machinery.
 TEST(PipelineDeterminism, DegenerateCaseIsTheSequentialLoop) {
   const auto topo = topology::softlayer();
   const auto cfg = pipeline_config();  // epoch_size = 1
-  const OnlineResult free_fn =
-      simulate(topo, cfg, "SOFDA", [](const Problem& p) { return core::sofda(p); });
-  const OnlineResult session = sequential_reference(topo, cfg);
-  expect_series_identical(free_fn, session);
+  const OnlineResult recomputed = recomputing_reference(topo, cfg);
+  expect_series_identical(recomputed, sequential_reference(topo, cfg));
   PipelineOptions one;
   one.workers = 1;
-  expect_series_identical(free_fn, serve_pipelined(topo, cfg, "sofda", {}, one));
+  expect_series_identical(recomputed, Pipeline(topo, cfg, "sofda", {}, one).run());
 }
 
 // The stale-epoch gadget: holding_arrivals < epoch_size makes departures
@@ -145,7 +158,7 @@ TEST(PipelineDeterminism, StaleEpochGadgetWithMidEpochDepartures) {
   PipelineOptions popt;
   popt.workers = 8;  // more workers than epoch slots forces speculation
   popt.lookahead_epochs = 1;
-  const OnlineResult got = serve_pipelined(topo, cfg, "sofda", {}, popt);
+  const OnlineResult got = Pipeline(topo, cfg, "sofda", {}, popt).run();
   expect_series_identical(ref, got);
   // Speculation happened one way or the other; both outcomes of the rule
   // are schedule-dependent, so only their sum's possibility is asserted.
@@ -161,7 +174,7 @@ TEST(PipelineDeterminism, NoSpeculationStillMatches) {
   PipelineOptions popt;
   popt.workers = 4;
   popt.lookahead_epochs = 0;
-  const OnlineResult got = serve_pipelined(topo, cfg, "sofda", {}, popt);
+  const OnlineResult got = Pipeline(topo, cfg, "sofda", {}, popt).run();
   expect_series_identical(sequential_reference(topo, cfg), got);
   EXPECT_EQ(got.stale_repriced, 0);
   EXPECT_EQ(got.speculative_commits, 0);
@@ -178,7 +191,7 @@ TEST(PipelineDeterminism, NonClosureSolverFamilyMatches) {
   const OnlineResult ref = simulate(topo, cfg, *solver);
   PipelineOptions popt;
   popt.workers = 4;
-  expect_series_identical(ref, serve_pipelined(topo, cfg, "baseline/est", {}, popt));
+  expect_series_identical(ref, Pipeline(topo, cfg, "baseline/est", {}, popt).run());
 }
 
 // The epoch-size semantics are real: with prices frozen for a whole epoch
@@ -191,7 +204,7 @@ TEST(PipelineSemantics, EpochSeriesInternallyConsistent) {
   cfg.epoch_size = 4;
   PipelineOptions popt;
   popt.workers = 2;
-  const OnlineResult r = serve_pipelined(topo, cfg, "sofda", {}, popt);
+  const OnlineResult r = Pipeline(topo, cfg, "sofda", {}, popt).run();
   ASSERT_EQ(r.per_request_cost.size(), static_cast<std::size_t>(cfg.requests));
   ASSERT_EQ(r.arrival_seconds.size(), static_cast<std::size_t>(cfg.requests));
   double sum = 0.0;
@@ -220,10 +233,9 @@ TEST(PipelineReports, SinkCollectsQueueWaitAndCommitPhases) {
 
 TEST(PipelineValidation, RejectsDegenerateConfigs) {
   const auto topo = topology::softlayer();
+  const auto solver = api::make_solver("sofda");
   const auto expect_rejected = [&](OnlineConfig cfg) {
-    EXPECT_THROW(simulate(topo, cfg, "SOFDA",
-                          [](const Problem& p) { return core::sofda(p); }),
-                 std::invalid_argument);
+    EXPECT_THROW(simulate(topo, cfg, *solver), std::invalid_argument);
     EXPECT_THROW(Pipeline(topo, cfg, "sofda", {}, {}), std::invalid_argument);
   };
   auto cfg = pipeline_config();
@@ -294,20 +306,86 @@ TEST(PricingEpochMode, GenerationDedupAndGapFlush) {
   EXPECT_GT(tally.repriced, 0);
 }
 
-// The sequential epoch driver itself: persistent vs copy-per-arrival
-// differential at epoch_size > 1 (the same invariant PR 4 pinned at 1).
-TEST(EpochDriver, PersistentMatchesCopyingReferenceAtEpochSize4) {
+// The sequential epoch driver itself: warm session (closure repair plus
+// pricing cache) vs the cache-free recomputing session at epoch_size > 1,
+// with departures landing mid-epoch.
+TEST(EpochDriver, WarmSessionMatchesRecomputingSessionAtEpochSize4) {
   const auto topo = topology::softlayer();
   auto cfg = pipeline_config();
   cfg.epoch_size = 4;
   cfg.holding_arrivals = 3;
-  const auto persistent =
-      simulate(topo, cfg, "SOFDA", [](const Problem& p) { return core::sofda(p); });
-  auto ref = cfg;
-  ref.copy_problems = true;
-  const auto copying =
-      simulate(topo, ref, "SOFDA", [](const Problem& p) { return core::sofda(p); });
-  expect_series_identical(persistent, copying);
+  expect_series_identical(sequential_reference(topo, cfg), recomputing_reference(topo, cfg));
+}
+
+// --- Fault injection ------------------------------------------------------
+
+struct InjectedFault : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Registers "test/faulty": a sofda session that calls `fault` (which may
+/// throw) before every solve.  Re-registering replaces the factory, so each
+/// test installs its own trigger.
+void register_faulty_solver(std::function<void()> fault) {
+  api::SolverRegistry::global().add(
+      "test/faulty", "sofda with an injected fault (test only)",
+      [fault](const api::SolverOptions& opt) {
+        const std::shared_ptr<api::Solver> inner = api::make_solver("sofda", opt);
+        return std::make_unique<test::CallbackSolver>([fault, inner](const Problem& p) {
+          fault();
+          return inner->solve(p);
+        });
+      });
+}
+
+// A worker's solve throws: run() must stop the other workers and rethrow
+// that exception, at every worker count.
+TEST(PipelineFaults, WorkerSolveFaultIsRethrown) {
+  const auto topo = topology::softlayer();
+  auto cfg = pipeline_config();
+  cfg.epoch_size = 4;
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    const auto solves = std::make_shared<std::atomic<int>>(0);
+    register_faulty_solver([solves] {
+      if (solves->fetch_add(1) == 4) throw InjectedFault("fifth solve");
+    });
+    PipelineOptions popt;
+    popt.workers = workers;
+    EXPECT_THROW(Pipeline(topo, cfg, "test/faulty", {}, popt).run(), InjectedFault);
+  }
+}
+
+// A solve on the thread that called run() throws.  In a drill that is the
+// recovery re-embed inside open_epoch, so the throw starts on the commit
+// thread while the workers are parked: run() must join them and rethrow
+// instead of unwinding past joinable threads.  The sequential driver runs
+// every solve on the calling thread and must rethrow too.
+TEST(PipelineFaults, CallingThreadFaultIsRethrownByBothDrivers) {
+  const auto topo = topology::softlayer();
+  auto cfg = pipeline_config();
+  cfg.epoch_size = 4;
+  // Request 0's first destination fails at the second epoch: request 0 is
+  // admitted by then and reaches it over an incident link, so that epoch's
+  // open must recover it.
+  const core::NodeId victim = ArrivalStream(topo, cfg).request(0).destinations.front();
+  resilience::FailurePlan plan;
+  plan.events.push_back(
+      {resilience::FailureEvent::Target::kNode, victim, /*fail_at=*/4, /*heal_at=*/-1});
+  cfg.failures = &plan;
+  const std::thread::id caller = std::this_thread::get_id();
+  register_faulty_solver([caller] {
+    if (std::this_thread::get_id() == caller) throw InjectedFault("solve on the calling thread");
+  });
+
+  const auto solver = api::make_solver("test/faulty");
+  EXPECT_THROW(simulate(topo, cfg, *solver), InjectedFault);
+  for (int workers : {1, 2, 8}) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    PipelineOptions popt;
+    popt.workers = workers;
+    EXPECT_THROW(Pipeline(topo, cfg, "test/faulty", {}, popt).run(), InjectedFault);
+  }
 }
 
 }  // namespace

@@ -8,9 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 
+#include "callback_solver.hpp"
 #include "sofe/api/registry.hpp"
-#include "sofe/core/sofda.hpp"
 #include "sofe/costmodel/load_ledger.hpp"
 #include "sofe/online/pipeline.hpp"
 #include "sofe/online/simulator.hpp"
@@ -35,8 +36,20 @@ OnlineConfig small_config() {
   return cfg;
 }
 
-EmbedFn sofda_fn() {
-  return [](const Problem& p) { return core::sofda(p); };
+/// The stream through a fresh registry session (default options).
+OnlineResult run(const topology::Topology& topo, const OnlineConfig& cfg,
+                 const api::SolverOptions& opt = {}) {
+  auto solver = api::make_solver("sofda", opt);
+  return simulate(topo, cfg, *solver);
+}
+
+/// The cache-free reference: a session that rebuilds its closure and
+/// re-prices every chain on every solve, recovery re-embeds included.
+OnlineResult run_recomputing(const topology::Topology& topo, const OnlineConfig& cfg) {
+  api::SolverOptions opt;
+  opt.incremental = false;
+  opt.incremental_pricing = false;
+  return run(topo, cfg, opt);
 }
 
 /// A physical link request 0's embedding is guaranteed to charge: run the
@@ -47,10 +60,12 @@ graph::EdgeId charged_link_of_first_request(const topology::Topology& topo,
   ServiceForest first;
   auto probe = cfg;
   probe.requests = 1;
-  simulate(topo, probe, "probe", [&](const Problem& p) {
-    first = core::sofda(p);
+  const auto inner = api::make_solver("sofda");
+  test::CallbackSolver recording([&](const Problem& p) {
+    first = inner->solve(p);
     return first;
   });
+  simulate(topo, probe, recording);
   for (const auto& se : first.stage_edges()) {
     if (se.u < topo.g.node_count() && se.v < topo.g.node_count()) {
       const graph::EdgeId e = topo.g.find_edge(se.u, se.v);
@@ -98,7 +113,7 @@ TEST(ResilienceValidate, NegativeFailIndexRejectedFromBothDrivers) {
   auto cfg = small_config();
   cfg.failures = &plan;
   try {
-    simulate(topo, cfg, "x", sofda_fn());
+    run(topo, cfg);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("FailurePlan.events[0].fail_at"), std::string::npos)
@@ -115,7 +130,7 @@ TEST(ResilienceValidate, HealBeforeFailRejected) {
   auto cfg = small_config();
   cfg.failures = &plan;
   try {
-    simulate(topo, cfg, "x", sofda_fn());
+    run(topo, cfg);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("heal_at"), std::string::npos) << e.what();
@@ -130,7 +145,7 @@ TEST(ResilienceValidate, UnknownIdsRejectedPerTargetKind) {
     auto cfg = small_config();
     cfg.failures = &plan;
     try {
-      simulate(topo, cfg, "x", sofda_fn());
+      run(topo, cfg);
       FAIL() << "expected std::invalid_argument for " << member;
     } catch (const std::invalid_argument& e) {
       EXPECT_NE(std::string(e.what()).find(member), std::string::npos) << e.what();
@@ -147,7 +162,7 @@ TEST(ResilienceValidate, NegativeMigrationWeightRejected) {
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.recovery.migration_cost_weight = -1.0;
-  EXPECT_THROW(simulate(topo, cfg, "x", sofda_fn()), std::invalid_argument);
+  EXPECT_THROW(run(topo, cfg), std::invalid_argument);
 }
 
 // ----------------------------------------------------- fail/heal round-trip --
@@ -221,7 +236,7 @@ TEST(ResilienceDrill, DrillRecoversEveryAffectedForest) {
                          /*fail_at=*/2, /*heal_at=*/5});
   cfg.failures = &plan;
 
-  const auto r = simulate(topo, cfg, "SOFDA", sofda_fn());
+  const auto r = run(topo, cfg);
   ASSERT_FALSE(r.recoveries.empty());
   bool recovered_first = false;
   for (const auto& rep : r.recoveries) {
@@ -245,7 +260,7 @@ TEST(ResilienceDrill, BudgetZeroIsRepairOnly) {
   cfg.failures = &plan;
   cfg.recovery.max_moved_users = 0;
 
-  const auto r = simulate(topo, cfg, "SOFDA", sofda_fn());
+  const auto r = run(topo, cfg);
   ASSERT_FALSE(r.recoveries.empty());
   for (const auto& rep : r.recoveries) {
     EXPECT_EQ(rep.moved_users, 0) << "budget 0 may never move a user";
@@ -268,8 +283,7 @@ TEST(ResilienceDrill, UnboundedBudgetMatchesFromScratchQuality) {
   cfg.failures = &plan;
   cfg.recovery.max_moved_users = -1;
 
-  auto warm = api::make_solver("sofda");
-  const auto incremental = simulate(topo, cfg, *warm);
+  const auto incremental = run(topo, cfg);
   ASSERT_FALSE(incremental.recoveries.empty());
   for (const auto& rep : incremental.recoveries) {
     ASSERT_LT(rep.scratch_cost, graph::kInfiniteCost);
@@ -277,13 +291,7 @@ TEST(ResilienceDrill, UnboundedBudgetMatchesFromScratchQuality) {
     EXPECT_EQ(rep.chosen_cost, rep.scratch_cost);  // bitwise
   }
 
-  auto ref_cfg = cfg;
-  ref_cfg.copy_problems = true;
-  api::SolverOptions cold_opt;
-  cold_opt.incremental = false;
-  cold_opt.incremental_pricing = false;
-  auto cold = api::make_solver("sofda", cold_opt);
-  const auto reference = simulate(topo, ref_cfg, *cold);
+  const auto reference = run_recomputing(topo, cfg);
   expect_series_identical(incremental, reference);
   expect_recoveries_identical(incremental, reference);
 }
@@ -302,7 +310,7 @@ TEST(ResilienceDrill, DisconnectedComponentDropsOnlyUnreachableUsers) {
   plan.events.push_back({FailureEvent::Target::kNode, victim, /*fail_at=*/2, /*heal_at=*/-1});
   cfg.failures = &plan;
 
-  const auto r = simulate(topo, cfg, "SOFDA", sofda_fn());
+  const auto r = run(topo, cfg);
   ASSERT_FALSE(r.recoveries.empty());
   bool saw_first = false;
   int dropped = 0;
@@ -318,8 +326,8 @@ TEST(ResilienceDrill, DisconnectedComponentDropsOnlyUnreachableUsers) {
 
 TEST(ResilienceDrill, HoldingDeparturesComposeWithFailures) {
   // Departures and failures share the release path: a request that departs
-  // before the failure must NOT be recovered; the run must still match its
-  // own copying-reference driver bit for bit.
+  // before the failure must NOT be recovered; the run must still match the
+  // recomputing session bit for bit.
   const auto topo = topology::softlayer();
   auto cfg = small_config();
   cfg.requests = 10;
@@ -330,14 +338,12 @@ TEST(ResilienceDrill, HoldingDeparturesComposeWithFailures) {
                          /*fail_at=*/6, /*heal_at=*/-1});
   cfg.failures = &plan;
 
-  const auto r = simulate(topo, cfg, "SOFDA", sofda_fn());
+  const auto r = run(topo, cfg);
   for (const auto& rep : r.recoveries) {
     EXPECT_GE(rep.slot, 6 - cfg.holding_arrivals)
         << "request " << rep.slot << " departed before the failure";
   }
-  auto ref_cfg = cfg;
-  ref_cfg.copy_problems = true;
-  const auto reference = simulate(topo, ref_cfg, "SOFDA", sofda_fn());
+  const auto reference = run_recomputing(topo, cfg);
   expect_series_identical(r, reference);
   expect_recoveries_identical(r, reference);
 }
@@ -359,22 +365,20 @@ TEST(ResilienceDeterminism, IdenticalAcrossSolverThreadsAndPipelineWorkers) {
   plan.events.push_back({FailureEvent::Target::kDataCenter, 0, /*fail_at=*/7, /*heal_at=*/-1});
   cfg.failures = &plan;
 
-  auto reference_solver = api::make_solver("sofda");
-  const auto reference = simulate(topo, cfg, *reference_solver);
+  const auto reference = run(topo, cfg);
   ASSERT_FALSE(reference.recoveries.empty());
 
   for (const int threads : {2, 8}) {
     api::SolverOptions opt;
     opt.threads = threads;
-    auto solver = api::make_solver("sofda", opt);
-    const auto got = simulate(topo, cfg, *solver);
+    const auto got = run(topo, cfg, opt);
     expect_series_identical(got, reference);
     expect_recoveries_identical(got, reference);
   }
   for (const int workers : {1, 2, 8}) {
     PipelineOptions popt;
     popt.workers = workers;
-    const auto got = serve_pipelined(topo, cfg, "sofda", {}, popt);
+    const auto got = Pipeline(topo, cfg, "sofda", {}, popt).run();
     expect_series_identical(got, reference);
     expect_recoveries_identical(got, reference);
   }
