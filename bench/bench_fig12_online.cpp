@@ -24,12 +24,9 @@
 //
 // PR 9 adds the steady-state panels (DESIGN.md §13): a recurring-source
 // arrival panel (sources drawn from a fixed Zipf-ish pool —
-// OnlineConfig::source_pool/source_alpha) and a retention on/off sweep that
-// runs the same stream at retention window sizes {0, default}, asserting
-// bitwise-identical cost series (the window is a pure speed/memory knob)
-// while reporting the warm-row hit rate and peak closure slab footprint the
-// LRU window buys.  Pipeline sweep points now also record the commit
-// thread's epoch-publish wall time plus the publisher session's row tallies.
+// OnlineConfig::source_pool/source_alpha) and a pipeline worker sweep over
+// the same stream.  Pipeline sweep points also record the commit thread's
+// epoch-publish wall time and the publisher closure's peak slab footprint.
 //
 // Flags:
 //   --smoke      tiny instance (CI: exercises the incremental path in
@@ -37,8 +34,8 @@
 //                never mistake the reduced panel set for a full run
 //   --recurring  recurring-source panels only (with --smoke: the
 //                bench_online_recurring_smoke ctest entry — drives the
-//                retention + COW publish path under TSan without writing
-//                BENCH_online.json next to the main smoke entry)
+//                row churn of the COW publish path under TSan without
+//                writing BENCH_online.json next to the main smoke entry)
 //   --json       additionally write the measurements to BENCH_online.json
 
 #include <cstring>
@@ -82,15 +79,8 @@ struct SweepPoint {
   int workers = 1;
   double seconds = 0.0;             // pipeline wall time for the whole stream
   double arrivals_per_second = 0.0;
-  int stale_repriced = 0;           // speculative results discarded + re-solved
-  int speculative_commits = 0;      // speculative results that survived validation
   double publish_seconds = 0.0;     // commit-thread wall spent publishing epochs
-  // Publisher-session steady-state tallies (DESIGN.md §13), summed over
-  // the stream's epoch publishes.
-  std::size_t row_hits = 0;
-  std::size_t rows_retained = 0;
-  std::size_t rows_evicted = 0;
-  std::size_t peak_closure_bytes = 0;
+  std::size_t peak_closure_bytes = 0;  // publisher closure slab peak (§13)
   bool identical = true;            // series bitwise == sequential epoch driver
 };
 
@@ -100,85 +90,6 @@ struct WorkerSweep {
   double sequential_seconds = 0.0;  // 1-thread simulate() at the same epoch_size
   std::vector<SweepPoint> points;
 };
-
-// Retention on/off sweep (DESIGN.md §13): the same recurring-source arrival
-// stream through the sequential "sofda" session at each retention window
-// size.  The window is a pure speed/memory knob, so every point's cost
-// series must be bitwise identical to the first (exit 1 otherwise); what
-// changes is the warm-row hit tally — sources drawn from a fixed Zipf-ish
-// pool keep coming back, and a retained row turns each comeback from a
-// fresh Dijkstra build into a delta-stream revalidation.
-struct RetentionPoint {
-  int retention_rows = 0;
-  double seconds = 0.0;             // arrival-loop wall time
-  std::size_t solves = 0;
-  std::size_t row_hits = 0;
-  std::size_t rows_retained = 0;
-  std::size_t rows_evicted = 0;
-  std::size_t peak_closure_bytes = 0;
-  double hit_rate = 0.0;            // row_hits / solves
-  bool identical = true;            // series bitwise == the sweep's first point
-};
-
-struct RetentionSweep {
-  std::string name;
-  int source_pool = 0;
-  double source_alpha = 0.0;
-  std::vector<RetentionPoint> points;
-};
-
-RetentionSweep run_retention_sweep(const char* title, const sofe::topology::Topology& topo,
-                                   const sofe::online::OnlineConfig& cfg,
-                                   const std::vector<int>& retention_values) {
-  std::cout << "\n" << title << " — retention window sweep (source pool " << cfg.source_pool
-            << ", alpha " << cfg.source_alpha << ", solver sofda)\n";
-  RetentionSweep sweep;
-  sweep.name = title;
-  sweep.source_pool = cfg.source_pool;
-  sweep.source_alpha = cfg.source_alpha;
-
-  sofe::util::Table table({"retention", "wall_s", "rows hit", "retained", "evicted",
-                           "hit rate", "peak KB", "series"});
-  sofe::online::OnlineResult reference;
-  for (int retention : retention_values) {
-    sofe::api::SolverOptions opt;
-    opt.retention_rows = retention;
-    auto solver = sofe::api::make_solver("sofda", opt);
-    sofe::api::ReportAccumulator acc;
-    solver->set_report_sink(&acc);
-    sofe::util::Stopwatch watch;
-    const auto series = simulate(topo, cfg, *solver);
-    RetentionPoint pt;
-    pt.retention_rows = retention;
-    pt.seconds = watch.seconds();
-    pt.solves = acc.solves();
-    pt.row_hits = acc.closure_row_hits();
-    pt.rows_retained = acc.closure_rows_retained();
-    pt.rows_evicted = acc.closure_rows_evicted();
-    pt.peak_closure_bytes = acc.peak_closure_bytes();
-    pt.hit_rate = pt.solves > 0 ? static_cast<double>(pt.row_hits) /
-                                      static_cast<double>(pt.solves)
-                                : 0.0;
-    if (sweep.points.empty()) {
-      reference = series;
-    } else {
-      pt.identical = series_identical(series, reference);
-      if (!pt.identical) {
-        std::cerr << "ERROR: " << title << ": retention window " << retention
-                  << " changed the cost series (it must be a pure speed knob)\n";
-      }
-    }
-    table.add_row({std::to_string(retention), sofe::util::Table::num(pt.seconds, 3),
-                   std::to_string(pt.row_hits), std::to_string(pt.rows_retained),
-                   std::to_string(pt.rows_evicted), sofe::util::Table::num(pt.hit_rate, 2),
-                   sofe::util::Table::num(
-                       static_cast<double>(pt.peak_closure_bytes) / 1024.0, 1),
-                   pt.identical ? "bit-identical" : "DIVERGED"});
-    sweep.points.push_back(pt);
-  }
-  table.print();
-  return sweep;
-}
 
 PanelMeasurement run_panel(const char* title, const sofe::topology::Topology& topo,
                            const sofe::online::OnlineConfig& cfg, int print_every) {
@@ -300,8 +211,8 @@ WorkerSweep run_worker_sweep(const char* title, const sofe::topology::Topology& 
   const auto reference = simulate(topo, cfg, *solver);
   sweep.sequential_seconds = watch.seconds();
 
-  sofe::util::Table table({"workers", "wall_s", "arrivals/s", "speedup", "stale", "spec",
-                           "publish", "peak KB", "series"});
+  sofe::util::Table table(
+      {"workers", "wall_s", "arrivals/s", "speedup", "publish", "peak KB", "series"});
   for (int workers : worker_counts) {
     sofe::online::PipelineOptions popt;
     popt.workers = workers;
@@ -312,12 +223,7 @@ WorkerSweep run_worker_sweep(const char* title, const sofe::topology::Topology& 
     pt.seconds = watch.seconds();
     pt.arrivals_per_second =
         pt.seconds > 0.0 ? static_cast<double>(cfg.requests) / pt.seconds : 0.0;
-    pt.stale_repriced = got.stale_repriced;
-    pt.speculative_commits = got.speculative_commits;
     pt.publish_seconds = got.publish_seconds;
-    pt.row_hits = got.closure_row_hits;
-    pt.rows_retained = got.closure_rows_retained;
-    pt.rows_evicted = got.closure_rows_evicted;
     pt.peak_closure_bytes = got.peak_closure_bytes;
     pt.identical = series_identical(got, reference);
     if (!pt.identical) {
@@ -328,7 +234,6 @@ WorkerSweep run_worker_sweep(const char* title, const sofe::topology::Topology& 
                    sofe::util::Table::num(pt.arrivals_per_second, 1),
                    sofe::util::Table::num(
                        pt.seconds > 0.0 ? sweep.sequential_seconds / pt.seconds : 1.0, 2),
-                   std::to_string(pt.stale_repriced), std::to_string(pt.speculative_commits),
                    sofe::util::Table::num(pt.publish_seconds * 1e3, 2) + "ms",
                    sofe::util::Table::num(
                        static_cast<double>(pt.peak_closure_bytes) / 1024.0, 1),
@@ -349,8 +254,7 @@ void append_phase_json(std::ostringstream& out, const char* key,
 }
 
 void write_json(const std::vector<PanelMeasurement>& panels,
-                const std::vector<WorkerSweep>& sweeps,
-                const std::vector<RetentionSweep>& retention, bool smoke, const char* path) {
+                const std::vector<WorkerSweep>& sweeps, bool smoke, const char* path) {
   // The bench/smoke envelope comes from the shared writer (bench_util.hpp).
   // "hardware_concurrency" keys the worker sweep: the sweep only probes
   // counts this machine can actually schedule, so throughput points from
@@ -385,10 +289,8 @@ void write_json(const std::vector<PanelMeasurement>& panels,
           << "},\"pricing_cache\":{\"hits\":" << m.incremental.pricing_hits()
           << ",\"repriced\":" << m.incremental.pricing_repriced()
           << ",\"flushes\":" << m.incremental.pricing_flushes()
-          << "},\"closure_rows\":{\"hits\":" << m.incremental.closure_row_hits()
-          << ",\"retained\":" << m.incremental.closure_rows_retained()
-          << ",\"evicted\":" << m.incremental.closure_rows_evicted()
-          << ",\"peak_bytes\":" << m.incremental.peak_closure_bytes() << "},\"phases\":{";
+          << "},\"peak_closure_bytes\":" << m.incremental.peak_closure_bytes()
+          << ",\"phases\":{";
       append_phase_json(out, "closure", m.incremental.closure());
       out << ",";
       append_phase_json(out, "pricing", m.incremental.pricing());
@@ -412,30 +314,8 @@ void write_json(const std::vector<PanelMeasurement>& panels,
           << ",\"arrivals_per_second\":" << pt.arrivals_per_second
           << ",\"speedup_vs_sequential\":"
           << (pt.seconds > 0.0 ? sweep.sequential_seconds / pt.seconds : 1.0)
-          << ",\"stale_repriced\":" << pt.stale_repriced
-          << ",\"speculative_commits\":" << pt.speculative_commits
           << ",\"publish_seconds\":" << pt.publish_seconds
-          << ",\"closure_rows\":{\"hits\":" << pt.row_hits
-          << ",\"retained\":" << pt.rows_retained << ",\"evicted\":" << pt.rows_evicted
-          << ",\"peak_bytes\":" << pt.peak_closure_bytes << "}"
-          << ",\"bit_identical\":" << (pt.identical ? "true" : "false") << "}";
-    }
-    out << "]}";
-  }
-  out << "],\"retention_sweeps\":[";
-  for (std::size_t ri = 0; ri < retention.size(); ++ri) {
-    const auto& sweep = retention[ri];
-    out << (ri ? "," : "") << "{\"name\":\"" << sweep.name << "\",\"solver\":\"sofda\""
-        << ",\"source_pool\":" << sweep.source_pool
-        << ",\"source_alpha\":" << sweep.source_alpha << ",\"points\":[";
-    for (std::size_t pi = 0; pi < sweep.points.size(); ++pi) {
-      const auto& pt = sweep.points[pi];
-      out << (pi ? "," : "") << "{\"retention_rows\":" << pt.retention_rows
-          << ",\"seconds\":" << pt.seconds << ",\"solves\":" << pt.solves
-          << ",\"closure_rows\":{\"hits\":" << pt.row_hits
-          << ",\"retained\":" << pt.rows_retained << ",\"evicted\":" << pt.rows_evicted
-          << ",\"peak_bytes\":" << pt.peak_closure_bytes << "}"
-          << ",\"hit_rate\":" << pt.hit_rate
+          << ",\"peak_closure_bytes\":" << pt.peak_closure_bytes
           << ",\"bit_identical\":" << (pt.identical ? "true" : "false") << "}";
     }
     out << "]}";
@@ -458,12 +338,11 @@ int main(int argc, char** argv) {
 
   std::vector<PanelMeasurement> panels;
   std::vector<WorkerSweep> sweeps;
-  std::vector<RetentionSweep> retention_sweeps;
   if (recurring) {
-    std::cout << "=== Fig. 12 (recurring sources): steady-state retention panels ===\n";
+    std::cout << "=== Fig. 12 (recurring sources): steady-state panels ===\n";
     // Sources recur from a fixed Zipf-ish pool and requests depart after a
-    // holding window, so the working set churns without saturating — the
-    // regime the LRU row-retention window targets (DESIGN.md §13).
+    // holding window, so the working set churns without saturating
+    // (DESIGN.md §13).
     sofe::online::OnlineConfig cfg;
     cfg.requests = smoke ? 10 : 60;
     cfg.min_destinations = smoke ? 3 : 13;
@@ -478,29 +357,13 @@ int main(int argc, char** argv) {
         smoke ? "SoftLayer, 10 arrivals, recurring sources (smoke)"
               : "(f) SoftLayer, 60 arrivals, recurring sources (steady state)",
         sofe::topology::softlayer(), cfg, smoke ? 2 : 10));
-    retention_sweeps.push_back(run_retention_sweep(
-        smoke ? "SoftLayer recurring (smoke)" : "SoftLayer, 60 recurring arrivals",
-        sofe::topology::softlayer(), cfg, {0, 256}));
     // The pipeline's epoch publisher over the same recurring stream: the
-    // COW publish + retention path the TSan CI cell must see concurrent.
+    // COW publish path, rows churning per epoch, that the TSan CI cell
+    // must see concurrent.
     sweeps.push_back(run_worker_sweep(
         smoke ? "SoftLayer recurring (smoke)" : "SoftLayer, 60 recurring arrivals",
         sofe::topology::softlayer(), cfg, /*epoch_size=*/4,
         smoke ? std::vector<int>{1, 2} : sweep_worker_counts()));
-    if (!smoke) {
-      sofe::online::OnlineConfig cg;
-      cg.requests = 40;
-      cg.min_destinations = 20;
-      cg.max_destinations = 60;
-      cg.min_sources = 10;
-      cg.max_sources = 30;
-      cg.holding_arrivals = 10;
-      cg.source_pool = 40;
-      cg.source_alpha = 0.8;
-      cg.seed = 16;
-      retention_sweeps.push_back(run_retention_sweep("Cogent, 40 recurring arrivals",
-                                                     sofe::topology::cogent(), cg, {0, 256}));
-    }
   } else if (smoke) {
     std::cout << "=== Fig. 12 (smoke): online deployment, incremental pipeline ===\n";
     sofe::online::OnlineConfig cfg;
@@ -619,11 +482,8 @@ int main(int argc, char** argv) {
                                         /*epoch_size=*/8, counts));
     }
     {
-      // Steady-state panels (DESIGN.md §13): recurring sources + departures
-      // keep yesterday's hubs coming back, which is what the LRU retention
-      // window monetises — the full --json artifact carries both the panel
-      // and the on/off sweep so the hit rate and peak-bytes deltas are
-      // tracked run over run.
+      // Steady-state panel (DESIGN.md §13): recurring sources + departures
+      // keep yesterday's hubs coming back.
       sofe::online::OnlineConfig cfg;
       cfg.requests = 60;
       cfg.min_destinations = 13;
@@ -636,24 +496,10 @@ int main(int argc, char** argv) {
       cfg.seed = 15;
       panels.push_back(run_panel("(f) SoftLayer, 60 arrivals, recurring sources (steady state)",
                                  sofe::topology::softlayer(), cfg, 10));
-      retention_sweeps.push_back(run_retention_sweep(
-          "SoftLayer, 60 recurring arrivals", sofe::topology::softlayer(), cfg, {0, 256}));
-      sofe::online::OnlineConfig cg;
-      cg.requests = 40;
-      cg.min_destinations = 20;
-      cg.max_destinations = 60;
-      cg.min_sources = 10;
-      cg.max_sources = 30;
-      cg.holding_arrivals = 10;
-      cg.source_pool = 40;
-      cg.source_alpha = 0.8;
-      cg.seed = 16;
-      retention_sweeps.push_back(run_retention_sweep("Cogent, 40 recurring arrivals",
-                                                     sofe::topology::cogent(), cg, {0, 256}));
     }
   }
 
-  if (json) write_json(panels, sweeps, retention_sweeps, smoke, "BENCH_online.json");
+  if (json) write_json(panels, sweeps, smoke, "BENCH_online.json");
 
   for (const auto& panel : panels) {
     for (const auto& m : panel.solvers) {
@@ -663,11 +509,6 @@ int main(int argc, char** argv) {
   for (const auto& sweep : sweeps) {
     for (const auto& pt : sweep.points) {
       if (!pt.identical) return 1;  // pipeline divergence fails just as loudly
-    }
-  }
-  for (const auto& sweep : retention_sweeps) {
-    for (const auto& pt : sweep.points) {
-      if (!pt.identical) return 1;  // retention must be a pure speed knob
     }
   }
   return 0;

@@ -79,8 +79,8 @@ class BenchJsonWriter {
 };
 
 /// Prints per-phase timing breakdowns (closure/pricing/solve/total
-/// mean+p95 in milliseconds, plus the closure-session, pricing-cache and
-/// row-retention outcome tallies and the peak closure slab footprint)
+/// mean+p95 in milliseconds, plus the closure-session and pricing-cache
+/// outcome tallies and the peak closure slab footprint)
 /// collected by ReportAccumulators — one row per algorithm.
 inline void print_phase_breakdown(
     const std::string& title,
@@ -88,7 +88,7 @@ inline void print_phase_breakdown(
   std::cout << "\n" << title << "\n";
   util::Table table({"algo", "solves", "closure ms (p95)", "pricing ms (p95)",
                      "solve ms (p95)", "total ms (p95)", "hit/repair/rebuild",
-                     "chains hit/repriced", "rows hit/ret/evict", "peak KB"});
+                     "chains hit/repriced", "peak KB"});
   const auto cell = [](const api::PhaseSummary& s) {
     return util::Table::num(s.mean * 1e3, 2) + " (" + util::Table::num(s.p95 * 1e3, 2) + ")";
   };
@@ -99,9 +99,6 @@ inline void print_phase_breakdown(
                        "/" + std::to_string(acc->rebuilds()),
                    std::to_string(acc->pricing_hits()) + "/" +
                        std::to_string(acc->pricing_repriced()),
-                   std::to_string(acc->closure_row_hits()) + "/" +
-                       std::to_string(acc->closure_rows_retained()) + "/" +
-                       std::to_string(acc->closure_rows_evicted()),
                    util::Table::num(static_cast<double>(acc->peak_closure_bytes()) / 1024.0, 1)});
   }
   table.print();

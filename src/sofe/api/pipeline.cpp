@@ -17,14 +17,12 @@
 //
 // Determinism: slots commit in arrival order against the same epoch
 // snapshots the sequential driver uses, and every number that enters the
-// cost series is computed from (epoch snapshot, request) alone.  A
-// speculative result priced at an older generation is validated at the
-// next publish: if any price moved since, the slot is re-queued and
-// re-solved at current prices by the workers (in parallel — staleness
-// never serializes the pipeline); if nothing moved, the input was bitwise
-// identical, so by solver determinism the result is exactly what a fresh
-// solve would return.  Either way the committed value is
-// schedule-independent, which is the whole proof.
+// cost series is computed from (epoch snapshot, request) alone.  Workers
+// only ever claim slots of the open epoch, so each result is priced at the
+// generation it commits under and the committed value is
+// schedule-independent, which is the whole proof.  Nothing is priced
+// ahead: Fortz-Thorup prices move on nearly every admission, so a result
+// priced for a later epoch would almost never survive to its commit.
 
 #include <algorithm>
 #include <cassert>
@@ -111,7 +109,6 @@ struct Pipeline::Impl {
     workers = popt.workers;
     if (workers <= 0) workers = static_cast<int>(std::thread::hardware_concurrency());
     workers = std::max(workers, 1);
-    lookahead = std::max(popt.lookahead_epochs, 0);
     if (stream.has_failures()) {
       // Recovery escalation gets its own session of the same family.  It
       // runs on the commit thread inside open_epoch — all workers parked —
@@ -128,7 +125,6 @@ struct Pipeline::Impl {
   std::string solver_name;
   api::SolverOptions opt;
   int workers = 1;
-  int lookahead = 1;
   api::ReportAccumulator* sink = nullptr;
   std::unique_ptr<api::Solver> recovery_solver;  // failure drills only
   bool ran = false;
@@ -143,7 +139,6 @@ struct Pipeline::Impl {
   std::uint64_t generation = 0;      // epochs published so far
   int next_slot = 0;                 // lowest never-claimed slot
   int dispatch_limit = 0;            // slots [0, dispatch_limit) are claimable
-  std::deque<int> requeued;          // stale slots awaiting a re-solve (sorted)
   std::exception_ptr failure;        // first worker exception, rethrown by run()
 
   // One entry per published epoch: payloads[g] is the snapshot advance
@@ -154,7 +149,6 @@ struct Pipeline::Impl {
   struct Payload {
     std::vector<graph::EdgeCostDelta> deltas;
     std::vector<Cost> node_cost;  // full post-refresh vector (VM setups)
-    bool moved = false;           // any link or node cost changed
   };
   std::deque<Payload> payloads;
 
@@ -166,14 +160,13 @@ struct Pipeline::Impl {
 
   struct Slot {
     bool ready = false;
-    std::uint64_t priced_generation = 0;
     ServiceForest forest;
     api::SolveReport report;
     double solve_seconds = 0.0;
     double queue_seconds = 0.0;
   };
   std::vector<Slot> slots;
-  std::vector<SteadyClock::time_point> eligible_at;  // when the slot became claimable
+  SteadyClock::time_point opened_at;  // when the open epoch's slots became claimable
 
   // Publisher-side scratch (driver thread only).
   api::ClosureSession publisher;
@@ -181,22 +174,10 @@ struct Pipeline::Impl {
   std::vector<std::uint8_t> hub_mark;
 
   // Diagnostics folded into OnlineResult (driver thread only).
-  int stale_repriced = 0;
-  int speculative_commits = 0;
-  std::size_t pub_row_hits = 0;       // publisher-session §13 tallies
-  std::size_t pub_rows_retained = 0;
-  std::size_t pub_rows_evicted = 0;
-  std::size_t pub_peak_bytes = 0;
-
-  bool moved_since(std::uint64_t priced_gen) const {
-    for (std::uint64_t g = priced_gen; g < generation; ++g) {
-      if (payloads[static_cast<std::size_t>(g)].moved) return true;
-    }
-    return false;
-  }
+  std::size_t pub_peak_bytes = 0;  // publisher closure slab footprint (§13)
 
   void worker_main(Problem replica);
-  void publish_epoch(int first, int* count, int committed);
+  int publish_epoch(int first);
   void serve(OnlineResult& result);
   OnlineResult run();
 };
@@ -211,27 +192,17 @@ void Pipeline::Impl::worker_main(Problem replica) {
 
   std::unique_lock lock(mu);
   for (;;) {
-    cv_work.wait(lock, [&] {
-      return done || (!publishing && (!requeued.empty() || next_slot < dispatch_limit));
-    });
+    cv_work.wait(lock, [&] { return done || (!publishing && next_slot < dispatch_limit); });
     if (done) return;
 
-    // Claim: stale re-solves first (the commit stage is blocked on them),
-    // then the lowest unclaimed slot — the arrival queue is FIFO.
-    int r = 0;
-    if (!requeued.empty()) {
-      r = requeued.front();
-      requeued.pop_front();
-    } else {
-      r = next_slot++;
-    }
-    const std::uint64_t gen = generation;
+    // Claim the lowest unclaimed slot: the arrival queue is FIFO.
+    const int r = next_slot++;
     const api::ClosureEpoch epoch_copy = epoch;
     ++active;
 
     // Replica sync under the lock (payloads grow only under mu): apply
     // every delta batch published since this worker last priced.
-    while (synced < gen) {
+    while (synced < generation) {
       const Payload& pl = payloads[static_cast<std::size_t>(synced)];
       for (const graph::EdgeCostDelta& d : pl.deltas) {
         replica.network.set_edge_cost(d.edge, d.new_cost);
@@ -241,9 +212,7 @@ void Pipeline::Impl::worker_main(Problem replica) {
     }
     const Request& req = stream.request(r);
     const double queue_seconds =
-        std::chrono::duration<double>(SteadyClock::now() -
-                                      eligible_at[static_cast<std::size_t>(r)])
-            .count();
+        std::chrono::duration<double>(SteadyClock::now() - opened_at).count();
     lock.unlock();
 
     replica.sources = req.sources;
@@ -266,7 +235,6 @@ void Pipeline::Impl::worker_main(Problem replica) {
     lock.lock();
     Slot& s = slots[static_cast<std::size_t>(r)];
     s.ready = true;
-    s.priced_generation = gen;
     s.forest = std::move(forest);
     s.report = solver->report();
     s.solve_seconds = solve_seconds;
@@ -276,10 +244,7 @@ void Pipeline::Impl::worker_main(Problem replica) {
   }
 }
 
-void Pipeline::Impl::publish_epoch(int first, int* count, int committed) {
-  const int total = stream.requests();
-  const int S = stream.epoch_size();
-
+int Pipeline::Impl::publish_epoch(int first) {
   std::unique_lock lock(mu);
   publishing = true;  // block new claims...
   cv_main.wait(lock, [&] { return active == 0; });  // ...and drain in-flight ones
@@ -288,24 +253,19 @@ void Pipeline::Impl::publish_epoch(int first, int* count, int committed) {
   if (use_epoch) publisher.retire();
 
   Payload pl;
-  bool node_moved = false;
-  *count = stream.open_epoch(first, &pl.deltas, &node_moved);
+  const int count = stream.open_epoch(first, &pl.deltas);
   pl.node_cost = stream.master().node_cost;
-  pl.moved = !pl.deltas.empty() || node_moved;
   payloads.push_back(std::move(pl));
   ++generation;
 
-  const int window_end = std::min(total, first + (1 + lookahead) * S);
-
   if (use_epoch) {
-    // Union hubs over the whole claimable window: the VMs plus every
-    // source any worker may price before the next publish — current epoch
-    // and speculative lookahead alike.  Extras are invisible to queries
-    // (§8 union semantics), so covering generously never changes results.
+    // Union hubs over the open epoch: the VMs plus every source any worker
+    // may price before the next publish.  Extras are invisible to queries
+    // (§8), so one closure serves every slot of the epoch bitwise.
     union_hubs = stream.master().vms();
     hub_mark.assign(static_cast<std::size_t>(stream.master().network.node_count()), 0);
     for (core::NodeId vm : union_hubs) hub_mark[static_cast<std::size_t>(vm)] = 1;
-    for (int r = first; r < window_end; ++r) {
+    for (int r = first; r < first + count; ++r) {
       for (core::NodeId s : stream.request(r).sources) {
         if (!hub_mark[static_cast<std::size_t>(s)]) {
           hub_mark[static_cast<std::size_t>(s)] = 1;
@@ -320,51 +280,26 @@ void Pipeline::Impl::publish_epoch(int first, int* count, int committed) {
     // repaired per epoch, and the re-homing fallback queries
     // hub-to-destination rows for arbitrary queued requests.
     req.bounded = false;
-    req.retention = opt.retention_rows;
     api::SolveReport publish_report;
     epoch = publisher.publish(stream.master().network, union_hubs, req, publish_report);
-    pub_row_hits += static_cast<std::size_t>(publish_report.closure_row_hits);
-    pub_rows_retained += static_cast<std::size_t>(publish_report.closure_rows_retained);
-    pub_rows_evicted += static_cast<std::size_t>(publish_report.closure_rows_evicted);
     pub_peak_bytes = std::max(pub_peak_bytes, publish_report.closure_bytes);
   }
 
-  // Stale-price rule (§10): every posted speculative result is validated
-  // now, against the batches published since it was priced.  Nothing
-  // moved -> its inputs were bitwise the fresh ones, keep it (it will
-  // count as a speculative commit).  Something moved -> discard and
-  // re-queue; workers re-solve the slot at the new generation, in
-  // parallel with the rest of the epoch.
-  for (int r = committed; r < dispatch_limit; ++r) {
-    Slot& s = slots[static_cast<std::size_t>(r)];
-    if (s.ready && s.priced_generation < generation && moved_since(s.priced_generation)) {
-      s.ready = false;
-      s.forest = ServiceForest{};
-      requeued.push_back(r);
-      ++stale_repriced;
-    }
-  }
-
-  // Extend the claimable window and wake the floor.
-  const auto now = SteadyClock::now();
-  for (int r = dispatch_limit; r < window_end; ++r) {
-    eligible_at[static_cast<std::size_t>(r)] = now;
-  }
-  dispatch_limit = window_end;
+  // Make the open epoch's slots claimable and wake the floor.
+  opened_at = SteadyClock::now();
+  dispatch_limit = first + count;
   publishing = false;
   lock.unlock();
   cv_work.notify_all();
+  return count;
 }
 
 void Pipeline::Impl::serve(OnlineResult& result) {
   const int total = stream.requests();
   for (int first = 0; first < total;) {
-    int count = 0;
-    {
-      const util::Stopwatch publish_watch;
-      publish_epoch(first, &count, first);
-      result.publish_seconds += publish_watch.seconds();
-    }
+    const util::Stopwatch publish_watch;
+    const int count = publish_epoch(first);
+    result.publish_seconds += publish_watch.seconds();
 
     // Collect the whole epoch's results (in arrival order), then commit
     // the batch through the same ArrivalStream::commit_epoch the sequential
@@ -386,9 +321,6 @@ void Pipeline::Impl::serve(OnlineResult& result) {
         if (failure) return;  // a worker failed; run() rethrows it
         s = std::move(slots[static_cast<std::size_t>(r)]);
       }
-      // The slot survived every stale scan since it was priced, so its
-      // result is bitwise what a fresh solve at this generation returns.
-      if (s.priced_generation < generation) ++speculative_commits;
       forests.push_back(std::move(s.forest));
       epoch_slots.push_back(std::move(s));
     }
@@ -419,7 +351,6 @@ OnlineResult Pipeline::Impl::run() {
 
   const int total = stream.requests();
   slots.resize(static_cast<std::size_t>(total));
-  eligible_at.resize(static_cast<std::size_t>(total));
 
   // Probe the registry once for the family's name and closure appetite;
   // workers build their own sessions.
@@ -462,11 +393,6 @@ OnlineResult Pipeline::Impl::run() {
   if (failure) std::rethrow_exception(failure);
 
   stream.finish(result);
-  result.stale_repriced = stale_repriced;
-  result.speculative_commits = speculative_commits;
-  result.closure_row_hits = pub_row_hits;
-  result.closure_rows_retained = pub_rows_retained;
-  result.closure_rows_evicted = pub_rows_evicted;
   result.peak_closure_bytes = pub_peak_bytes;
   return result;
 }

@@ -42,7 +42,6 @@ class SofdaSolver final : public Solver {
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
     req.bounded = opt_.bounded_closure;
-    req.retention = opt_.retention_rows;
     // Pricing and chain lifting query hub-to-hub only; the re-homing
     // fallback and shortening additionally query hub-to-destination — so
     // destinations complete the settle scope of a bounded closure.
@@ -71,12 +70,12 @@ class SofdaSolver final : public Solver {
       return core::sofda(p, opt_.algo(), &r.sofda);
     }
     // The published closure replaces the session's own: it covers the
-    // union of every hub any worker of the epoch window needs (the
-    // publisher guarantees this), and union extras are invisible to
-    // queries — so candidates and forests are bit-identical to do_solve
-    // on the same problem.
+    // union of every hub any worker of the epoch needs (the publisher
+    // guarantees this), and union extras are invisible to queries — so
+    // candidates and forests are bit-identical to do_solve on the same
+    // problem.
     const graph::MetricClosure& closure = *epoch.closure;
-    assert(closure.is_hub(p.sources.front()) && "publisher must cover the epoch window's hubs");
+    assert(closure.is_hub(p.sources.front()) && "publisher must cover the epoch's hubs");
     r.closure_hubs = static_cast<int>(closure.hub_count());
     r.closure_cache_hit = epoch.update.kind == core::ClosureUpdate::Kind::kUnchanged;
     r.closure_repaired = epoch.update.kind == core::ClosureUpdate::Kind::kRepaired;
@@ -145,7 +144,6 @@ class SofdaSsSolver final : public Solver {
     // segment's tree toward its end — a VM or a destination — so
     // destinations complete the settle scope of a bounded closure.
     req.bounded = opt_.bounded_closure;
-    req.retention = opt_.retention_rows;
     req.settle_targets = p.destinations;
     const auto& closure = session_.acquire(p.network, hubs, req, r);
     util::Stopwatch watch;
@@ -218,7 +216,6 @@ class DistSolver final : public Solver {
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
     req.bounded = opt_.bounded_closure;
-    req.retention = opt_.retention_rows;
     req.settle_targets = p.destinations;  // the sharded advertisement targets
     const dist::ShardedClosure& sc = session_.acquire_sharded(p.network, hubs, k, req, bus, r);
 

@@ -45,16 +45,13 @@ class ReportAccumulator {
     pricing_hits_ += static_cast<std::size_t>(r.pricing_hits);
     pricing_repriced_ += static_cast<std::size_t>(r.pricing_repriced);
     if (r.pricing_flushed) ++pricing_flushes_;
-    row_hits_ += static_cast<std::size_t>(r.closure_row_hits);
-    rows_retained_ += static_cast<std::size_t>(r.closure_rows_retained);
-    rows_evicted_ += static_cast<std::size_t>(r.closure_rows_evicted);
     peak_closure_bytes_ = std::max(peak_closure_bytes_, r.closure_bytes);
   }
 
   /// Pipeline phases (DESIGN.md §10), sampled by online::Pipeline's commit
   /// stage rather than by solvers: how long an arrival sat claimable in
-  /// the queue before a worker picked it up, and how long its commit-stage
-  /// turn took (stale validation + any re-solve + ledger charge).
+  /// the queue before a worker picked it up, and its share of the epoch's
+  /// commit-stage turn (admission decision + ledger charge).
   void add_queue_wait(double seconds) { queue_wait_.push_back(seconds); }
   void add_commit(double seconds) { commit_.push_back(seconds); }
 
@@ -78,14 +75,8 @@ class ReportAccumulator {
   std::size_t pricing_repriced() const noexcept { return pricing_repriced_; }
   /// Solves on which the pricing cache dropped every cached chain.
   std::size_t pricing_flushes() const noexcept { return pricing_flushes_; }
-  /// Requested hubs served from warm rows the previous request did not
-  /// name (SolveReport::closure_row_hits summed; DESIGN.md §13).
-  std::size_t closure_row_hits() const noexcept { return row_hits_; }
-  /// Rows kept beyond their request by the retention window, summed.
-  std::size_t closure_rows_retained() const noexcept { return rows_retained_; }
-  /// Stored rows dropped by acquires (LRU overflow or rebuild), summed.
-  std::size_t closure_rows_evicted() const noexcept { return rows_evicted_; }
-  /// Largest per-solve closure slab footprint seen (closure_bytes max).
+  /// Largest per-solve closure slab footprint seen (closure_bytes max;
+  /// DESIGN.md §13).
   std::size_t peak_closure_bytes() const noexcept { return peak_closure_bytes_; }
 
   /// Summary of the closure (re)build/repair phase, seconds.
@@ -130,9 +121,6 @@ class ReportAccumulator {
   std::size_t pricing_hits_ = 0;
   std::size_t pricing_repriced_ = 0;
   std::size_t pricing_flushes_ = 0;
-  std::size_t row_hits_ = 0;
-  std::size_t rows_retained_ = 0;
-  std::size_t rows_evicted_ = 0;
   std::size_t peak_closure_bytes_ = 0;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 #include "sofe/api/report.hpp"
 #include "sofe/dist/sharded_closure.hpp"
@@ -15,61 +14,15 @@ namespace sofe::api {
 ClosureSession::ClosureSession() = default;
 ClosureSession::~ClosureSession() = default;
 
-void ClosureSession::plan_retention(const std::vector<NodeId>& hubs, int retention,
-                                    const graph::MetricClosure& stored, SolveReport& report) {
-  // keep = requested hubs (duplicates fine; retain dedupes) + up to
-  // `retention` stored LRU hubs, most recently requested first.  Every
-  // stored hub is requested, retained or evicted — the tallies below
-  // partition the stored rows accordingly.
-  keep_.assign(hubs.begin(), hubs.end());
-  const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
-  const std::unordered_set<NodeId> prev(key_hubs_.begin(), key_hubs_.end());
-  std::size_t requested_stored = 0;
-  int hits = 0;
-  for (NodeId h : requested) {
-    if (!stored.is_hub(h)) continue;
-    ++requested_stored;
-    if (!prev.contains(h)) ++hits;  // a Dijkstra the window saved
-  }
-  int retained = 0;
-  for (NodeId h : lru_) {
-    if (retained >= retention) break;
-    if (requested.contains(h) || !stored.is_hub(h)) continue;
-    keep_.push_back(h);
-    ++retained;
-  }
-  report.closure_row_hits = hits;
-  report.closure_rows_retained = retained;
-  report.closure_rows_evicted =
-      static_cast<int>(stored.hub_count() - requested_stored) - retained;
-}
-
-void ClosureSession::touch_lru(const std::vector<NodeId>& hubs, int retention) {
-  const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
-  std::erase_if(lru_, [&](NodeId h) { return requested.contains(h); });
-  std::vector<NodeId> next;
-  next.reserve(requested.size() + lru_.size());
-  std::unordered_set<NodeId> seen;
-  for (NodeId h : hubs) {
-    if (seen.insert(h).second) next.push_back(h);
-  }
-  next.insert(next.end(), lru_.begin(), lru_.end());
-  // The window retains at most `retention` extras per acquire; a modest
-  // multiple of that is enough recency history for eligibility to rotate
-  // through, and it bounds the list on endless non-recurring streams.
-  const std::size_t cap =
-      seen.size() + static_cast<std::size_t>(std::max(retention, 0)) * 4;
-  if (next.size() > cap) next.resize(cap);
-  lru_ = std::move(next);
-}
-
 template <typename RepairFn, typename RebuildFn>
 void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeId>& hubs,
                                   const ClosureRequest& req, const graph::MetricClosure* stored,
                                   bool reusable, bool match_targets, SolveReport& report,
                                   const RepairFn& repair, const RebuildFn& rebuild) {
   report.closure_hubs = static_cast<int>(hubs.size());
-  const bool window = req.incremental && !req.bounded;  // retention applies
+  // Incremental unbounded sessions key on hub membership and may repair;
+  // the rest key on the exact hub sequence and only hit or rebuild.
+  const bool membership = req.incremental && !req.bounded;
   const auto edges = g.edges();
 
   // Structural part of the key: node count + edge endpoints.  Costs are
@@ -93,10 +46,10 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
                                                key_edges_[i].cost, edges[i].cost});
       }
     }
-    if (window) {
-      // Union semantics: only hubs without a stored tree matter.  Stale
-      // extra hubs from earlier acquires are invisible to queries (each
-      // tree is independent) and get repaired along with the rest.
+    if (membership) {
+      // Only hubs without a stored tree matter.  Extra stored hubs are
+      // invisible to queries (each tree is independent); a repair drops
+      // them before it refreshes.
       for (NodeId h : hubs) {
         if (!stored->is_hub(h)) missing_.push_back(h);
       }
@@ -119,16 +72,6 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
   if (structure_same && hubs_ok && deltas_.empty()) {
     report.closure_cache_hit = true;
     last_kind_ = core::ClosureUpdate::Kind::kUnchanged;
-    if (window) {
-      // Nothing is dropped on a pure hit: every extra stored row stays.
-      const std::unordered_set<NodeId> prev(key_hubs_.begin(), key_hubs_.end());
-      const std::unordered_set<NodeId> requested(hubs.begin(), hubs.end());
-      for (NodeId h : requested) {
-        if (!prev.contains(h)) ++report.closure_row_hits;
-      }
-      report.closure_rows_retained = static_cast<int>(stored->hub_count() - requested.size());
-      touch_lru(hubs, req.retention);
-    }
     return;
   }
   report.closure_cache_hit = false;
@@ -140,12 +83,11 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
   // with |hubs| * (V + E); past a quarter of the edges changing, affected
   // regions approach whole trees and the rebuild's sequential sweeps win.
   const bool repairable =
-      structure_same && window && deltas_.size() * 4 <= edges.size();
+      structure_same && membership && deltas_.size() * 4 <= edges.size();
   if (repairable) {
-    // Keep the requested hubs plus the retention window's warm rows;
-    // everything kept is revalidated by the repair, so a retained hub
-    // that returns later is served already-repaired (a row hit).
-    plan_retention(hubs, req.retention, *stored, report);
+    // Rows live for the request that names them (DESIGN.md §13): the
+    // repair keeps exactly `hubs`, so no refresh is spent on a row that
+    // no current request reads.
     repair();
     added_hubs_ = missing_;
     last_kind_ = core::ClosureUpdate::Kind::kRepaired;
@@ -154,14 +96,10 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
     for (const graph::EdgeCostDelta& d : deltas_) {
       key_edges_[static_cast<std::size_t>(d.edge)].cost = d.new_cost;
     }
-    // The strict key follows the REQUEST, not the stored superset: retained
-    // rows are invisible to queries, and a later non-incremental acquire
+    // The strict key follows the request: a later non-incremental acquire
     // must not falsely hit on a closure whose trees changed.
     key_hubs_ = hubs;
   } else {
-    if (window && stored != nullptr) {
-      report.closure_rows_evicted = static_cast<int>(stored->hub_count());
-    }
     rebuild();
     last_kind_ = core::ClosureUpdate::Kind::kRebuilt;
     key_nodes_ = g.node_count();
@@ -169,7 +107,6 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
     key_hubs_ = hubs;
     key_targets_.assign(req.settle_targets.begin(), req.settle_targets.end());
   }
-  if (window) touch_lru(hubs, req.retention);
   report.closure_seconds = watch.seconds();
 }
 
@@ -181,7 +118,7 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
       g, hubs, req, valid_ ? &closure_ : nullptr, closure_.bounded() == req.bounded,
       /*match_targets=*/req.bounded, report,
       [&] {
-        closure_.retain(keep_);
+        closure_.retain(hubs);
         closure_.refresh(g, deltas_, req.threads, &engine_, &row_changes_);
         if (!missing_.empty()) closure_.extend(g, missing_, req.threads, &engine_);
       },
@@ -214,10 +151,8 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
         // Every re-exchanged row is charged on `bus` by the ShardedClosure
         // itself.  refresh clears `row_changes_` before filling it; extend
         // appends, so the combined list is this solve's pricing-
-        // invalidation feed.  The keep-list includes the retention window:
-        // a retained source hub that returns next acquire is NOT missing,
-        // so no controller re-ships its rows (tested).
-        sharded_->retain(keep_);
+        // invalidation feed.
+        sharded_->retain(hubs);
         if (!deltas_.empty()) sharded_->refresh(g, deltas_, req.threads, bus, &row_changes_);
         if (!missing_.empty()) sharded_->extend(g, hubs, req.threads, bus, &row_changes_);
       },

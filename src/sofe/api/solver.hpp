@@ -81,19 +81,7 @@ struct SolverOptions {
   /// sessions rebuild on every cost change, so prefer `incremental` for
   /// arrival streams and `bounded_closure` for one-shot solves.
   bool bounded_closure = false;
-  /// Steady-state row retention window (DESIGN.md §13): how many hub rows
-  /// beyond the current request the closure session keeps warm, most
-  /// recently requested first.  An arrival stream with recurring sources
-  /// (online::OnlineConfig::source_pool) then finds a returning source's
-  /// tree already stored — revalidated against the same delta stream as
-  /// every live row — instead of re-running its Dijkstra.  Retained rows
-  /// cost one repair per price change while they stay in the window, so
-  /// the window trades repair work for build work; 0 disables retention
-  /// (every acquire drops all non-requested rows, the pre-window
-  /// behaviour).  Purely a speed/memory knob: requested-hub trees are
-  /// bit-identical with any window (tested).  Only incremental unbounded
-  /// sessions retain; strict/bounded sessions ignore this.
-  int retention_rows = 256;
+  int retention_rows = 0;  // inert; remove at the next benchmark change
   exact::ExactLimits exact_limits;  // the "exact" solver's search budget
 
   /// View for the procedural (core/baselines/dist) layers.
@@ -137,17 +125,10 @@ struct SolveReport {
   int pricing_repriced = 0;  //   chains re-priced this solve
   bool pricing_flushed = false;  //   this solve dropped every cached chain
 
-  /// Retention-window tallies (DESIGN.md §13).  A "row hit" is a requested
-  /// hub whose tree was already stored but was NOT part of the previous
-  /// request — i.e. a Dijkstra the retention window (or union cache)
-  /// saved.  retained counts rows kept warm beyond this request's hubs;
-  /// evicted counts stored rows this acquire dropped (LRU overflow or
-  /// rebuild).  closure_bytes is the session closure's slab footprint
-  /// after the acquire (MetricClosure::memory_bytes).
-  int closure_row_hits = 0;
-  int closure_rows_retained = 0;
-  int closure_rows_evicted = 0;
-  std::size_t closure_bytes = 0;
+  int closure_row_hits = 0;       // inert, always 0; remove at the next benchmark change
+  int closure_rows_retained = 0;  // inert, always 0; remove at the next benchmark change
+  int closure_rows_evicted = 0;   // inert, always 0; remove at the next benchmark change
+  std::size_t closure_bytes = 0;  // session closure slab footprint after the acquire
 
   double closure_seconds = 0.0;  // hub-tree (re)construction or repair
   double pricing_seconds = 0.0;  // candidate-chain pricing (SOFDA)
@@ -164,10 +145,7 @@ struct ClosureRequest {
   /// destinations); ignored when !bounded.  The span must stay alive for
   /// the duration of the acquire call only.
   std::span<const NodeId> settle_targets;
-  /// LRU retention window size (SolverOptions::retention_rows): stored
-  /// rows beyond the requested hubs kept warm by the repair path, most
-  /// recently requested first.  Ignored unless incremental && !bounded.
-  int retention = 0;
+  int retention = 0;  // inert; remove at the next benchmark change
 };
 
 /// A published read-only closure epoch (DESIGN.md §10): the immutable
@@ -199,13 +177,13 @@ struct ClosureEpoch {
 /// incremental path feeds to MetricClosure::refresh.
 ///
 /// Outcomes of an incremental acquire (DESIGN.md §8):
-///   * hit        — same structure, same costs, all hubs present: reuse.
-///   * repair     — same structure, few cost deltas: repair every cached
-///                  tree in place and build only the missing hubs.  The
-///                  cached hub set is the UNION of requested sets (an
-///                  arrival stream's VM hubs persist while source hubs
-///                  churn); stale extra hubs are repaired along and are
-///                  invisible to queries.
+///   * hit        — same structure, same costs, every requested hub
+///                  stored: reuse.  Stored extras are invisible to queries.
+///   * repair     — same structure, few cost deltas: drop the rows the
+///                  request does not name, repair the rest in place and
+///                  build only the missing hubs.  Rows are request-scoped
+///                  (DESIGN.md §13): no repair is spent on a row that no
+///                  current request reads.
 ///   * rebuild    — structural change, hub-set cold start, or a delta list
 ///                  above the repair threshold (quarter of the edges: past
 ///                  that the affected regions approach whole trees and a
@@ -290,11 +268,11 @@ class ClosureSession {
   /// The cache decision both acquires share: compares the exact key with
   /// (g, hubs, req), collects deltas_ and missing_, and decides hit,
   /// repair or rebuild — filling the report's closure tallies,
-  /// last_update(), the key and the LRU list along the way.  `stored` is
-  /// the mode's cached closure view (nullptr when that cache is invalid),
+  /// last_update() and the key along the way.  `stored` is the mode's
+  /// cached closure view (nullptr when that cache is invalid),
   /// `reusable` whether its flavour (bounded, k) fits the request, and
   /// `match_targets` whether the strict key includes the settle targets.
-  /// Only the mode's own work is delegated: `repair` retains keep_,
+  /// Only the mode's own work is delegated: `repair` retains `hubs`,
   /// refreshes deltas_ and extends missing_; `rebuild` builds cold over
   /// `hubs` and sets the mode's validity flags.
   template <typename RepairFn, typename RebuildFn>
@@ -302,22 +280,11 @@ class ClosureSession {
                     const ClosureRequest& req, const graph::MetricClosure* stored, bool reusable,
                     bool match_targets, SolveReport& report, const RepairFn& repair,
                     const RebuildFn& rebuild);
-  /// The retain keep-list of a repair-path acquire: the requested hubs
-  /// plus up to `retention` LRU hubs with a row in `stored` (the closure
-  /// before retention runs).  Fills `keep_` (scratch) and the report's
-  /// row-hit/retained/evicted tallies.
-  void plan_retention(const std::vector<NodeId>& hubs, int retention,
-                      const graph::MetricClosure& stored, SolveReport& report);
-  /// Moves this acquire's hubs to the front of the LRU recency list and
-  /// prunes the tail (bounded by the retention window).
-  void touch_lru(const std::vector<NodeId>& hubs, int retention);
 
   graph::MetricClosure closure_;
   graph::MetricClosure epoch_closure_;  // the published snapshot's row refs
   graph::ShortestPathEngine engine_;
   std::unique_ptr<dist::ShardedClosure> sharded_;  // sharded-mode cache (lazy)
-  std::vector<NodeId> lru_;   // hubs by request recency, most recent first
-  std::vector<NodeId> keep_;  // scratch: retain() keep-list
   bool valid_ = false;
   bool sharded_valid_ = false;
   int sharded_k_ = 0;               // controller count the sharded cache was built for

@@ -137,15 +137,16 @@ bool DynamicForest::destination_join(NodeId d, const AlgoOptions& opt) {
     if (static_cast<int>(fresh_vms.size()) < cand.remaining) continue;
     assert(have_closure);
     // Completion chain: k-stroll from u through `remaining` fresh VMs to a
-    // last VM u2, then the shortest path u2 -> d.
+    // last VM u2, then the shortest path u2 -> d.  Reachability of d is
+    // checked first: a stranded destination then skips every stroll.
     for (NodeId u2 : fresh_vms) {
       if (u2 == u || !closure.tree(u).reachable(u2)) continue;
+      const auto& sp_u2 = paths_from(u2);
+      if (!sp_u2.reachable(d)) continue;
       const auto inst = kstroll::build_stroll_instance(p_.network, closure, u, fresh_vms, u2,
                                                        p_.node_cost);
       const auto stroll = kstroll::solve_stroll(inst, cand.remaining + 1, opt.stroll);
       if (!stroll.feasible()) continue;
-      const auto& sp_u2 = paths_from(u2);
-      if (!sp_u2.reachable(d)) continue;
       const Cost c = stroll.cost + sp_u2.distance(d);
       if (c >= best.cost) continue;
 

@@ -144,9 +144,9 @@ class MetricClosure {
 
   /// Drops every stored tree whose hub is not in `hubs` (kept trees stay
   /// in slot order); freed rows return to the store for recycling.  The
-  /// session's repair path calls this before refresh so hubs that churned
-  /// out of the working set — an arrival stream's stale source hubs, minus
-  /// the session's retention window — stop costing one repair per solve.
+  /// session's repair path calls this before refresh so rows no request
+  /// names any more — an arrival stream's churned-out source hubs — stop
+  /// costing one repair per solve.
   void retain(const std::vector<NodeId>& hubs);
 
   /// Shares every row with `out` (an epoch snapshot): row references are

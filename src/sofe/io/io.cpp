@@ -1,11 +1,16 @@
 #include "sofe/io/io.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
+#include <utility>
+#include <vector>
 
 namespace sofe::io {
 
@@ -40,6 +45,20 @@ std::string node_attrs(const Problem& p, NodeId v, const std::map<NodeId, int>& 
     os << ", shape=circle";
   }
   return os.str();
+}
+
+[[noreturn]] void fail(const std::string& why) {
+  throw std::runtime_error("sofe-instance parse error: " + why);
+}
+
+/// One whole token as a number: std::from_chars must consume all of it,
+/// so "1x", "abc" and out-of-range values fail as `field`.
+template <typename T>
+T parse(std::string_view tok, const char* field) {
+  T value{};
+  const auto [ptr, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), value);
+  if (ec != std::errc{} || ptr != tok.data() + tok.size()) fail(field);
+  return value;
 }
 
 }  // namespace
@@ -116,66 +135,76 @@ std::string serialize(const Problem& p) {
 Problem deserialize(const std::string& text) {
   std::istringstream is(text);
   std::string line;
-  auto fail = [](const std::string& why) -> void {
-    throw std::runtime_error("sofe-instance parse error: " + why);
-  };
   if (!std::getline(is, line) || line != "sofe-instance v1") fail("bad header");
 
   Problem p;
   std::string key;
-  int nodes = 0, edges = 0;
-  if (!(is >> key >> nodes) || key != "nodes" || nodes < 0) fail("nodes");
-  if (!(is >> key >> p.chain_length) || key != "chain" || p.chain_length < 0) fail("chain");
-  if (!(is >> key >> edges) || key != "edges" || edges < 0) fail("edges");
+  std::string tok;
+  // "<key> <count>" header lines: the count must be a whole non-negative
+  // integer token.
+  const auto header = [&](const char* name) {
+    if (!(is >> key >> tok) || key != name) fail(name);
+    const int n = parse<int>(tok, name);
+    if (n < 0) fail(name);
+    return n;
+  };
+  const int nodes = header("nodes");
+  p.chain_length = header("chain");
+  const int edges = header("edges");
   p.network = core::Graph(nodes);
   p.node_cost.assign(static_cast<std::size_t>(nodes), 0.0);
   p.is_vm.assign(static_cast<std::size_t>(nodes), 0);
+  const auto node = [&](std::string_view t, const char* field) {
+    const NodeId v = parse<NodeId>(t, field);
+    if (v < 0 || v >= nodes) fail(field);
+    return v;
+  };
+  // "<node>:<cost>" tokens; the cost must be >= 0 (NaN fails the test).
+  const auto costed_node = [&](std::string_view t, const char* field) {
+    const auto colon = t.find(':');
+    if (colon == std::string_view::npos) fail(field);
+    const NodeId v = node(t.substr(0, colon), field);
+    const Cost c = parse<Cost>(t.substr(colon + 1), field);
+    if (!(c >= 0.0)) fail(field);
+    return std::pair{v, c};
+  };
   for (int e = 0; e < edges; ++e) {
-    NodeId u = 0, v = 0;
-    Cost c = 0;
-    if (!(is >> u >> v >> c) || u < 0 || v < 0 || u >= nodes || v >= nodes) fail("edge");
+    std::string u_tok, v_tok, c_tok;
+    if (!(is >> u_tok >> v_tok >> c_tok)) fail("edge");
+    const NodeId u = node(u_tok, "edge");
+    const NodeId v = node(v_tok, "edge");
+    const Cost c = parse<Cost>(c_tok, "edge");
+    // Graph::add_edge's contract: no self loops, costs >= 0 (NaN fails).
+    if (u == v || !(c >= 0.0)) fail("edge");
     p.network.add_edge(u, v, c);
   }
-  if (!(is >> key) || key != "vms") fail("vms");
-  std::getline(is, line);
-  {
+  // The rest is keyed lines of whitespace-separated tokens.
+  const auto rest_of_line = [&] {
+    std::getline(is, line);
     std::istringstream ls(line);
-    std::string tok;
-    while (ls >> tok) {
-      const auto colon = tok.find(':');
-      if (colon == std::string::npos) fail("vm token");
-      const NodeId v = std::stoi(tok.substr(0, colon));
-      if (v < 0 || v >= nodes) fail("vm id");
-      p.is_vm[static_cast<std::size_t>(v)] = 1;
-      p.node_cost[static_cast<std::size_t>(v)] = std::stod(tok.substr(colon + 1));
-    }
+    std::vector<std::string> out;
+    while (ls >> tok) out.push_back(tok);
+    return out;
+  };
+  const auto tokens = [&](const char* name) {
+    if (!(is >> key) || key != name) fail(name);
+    return rest_of_line();
+  };
+  for (const std::string& t : tokens("vms")) {
+    const auto [v, c] = costed_node(t, "vms");
+    p.is_vm[static_cast<std::size_t>(v)] = 1;
+    p.node_cost[static_cast<std::size_t>(v)] = c;
   }
-  if (!(is >> key) || key != "sources") fail("sources");
-  std::getline(is, line);
-  {
-    std::istringstream ls(line);
-    NodeId s = 0;
-    while (ls >> s) p.sources.push_back(s);
-  }
-  if (!(is >> key) || key != "destinations") fail("destinations");
-  std::getline(is, line);
-  {
-    std::istringstream ls(line);
-    NodeId d = 0;
-    while (ls >> d) p.destinations.push_back(d);
+  for (const std::string& t : tokens("sources")) p.sources.push_back(node(t, "sources"));
+  for (const std::string& t : tokens("destinations")) {
+    p.destinations.push_back(node(t, "destinations"));
   }
   if (is >> key) {
     if (key != "source_costs") fail("trailing content");
     p.source_setup_cost.assign(static_cast<std::size_t>(nodes), 0.0);
-    std::getline(is, line);
-    std::istringstream ls(line);
-    std::string tok;
-    while (ls >> tok) {
-      const auto colon = tok.find(':');
-      if (colon == std::string::npos) fail("source cost token");
-      const NodeId s = std::stoi(tok.substr(0, colon));
-      if (s < 0 || s >= nodes) fail("source cost id");
-      p.source_setup_cost[static_cast<std::size_t>(s)] = std::stod(tok.substr(colon + 1));
+    for (const std::string& t : rest_of_line()) {
+      const auto [s, c] = costed_node(t, "source_costs");
+      p.source_setup_cost[static_cast<std::size_t>(s)] = c;
     }
   }
   if (!p.well_formed()) fail("instance fails well-formedness checks");

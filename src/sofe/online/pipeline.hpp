@@ -13,11 +13,9 @@
 // is bitwise identical to the sequential driver `online::simulate` at the
 // same epoch_size, at ANY worker count — the sequential loop is the
 // 1-worker degenerate case, and OnlineConfig::epoch_size = 1 makes both of
-// them the paper's per-arrival Fig. 12 loop.  Workers may speculate one
-// epoch ahead; a speculative result priced against epoch E commits at
-// E + k only if no price moved in between (then it is bitwise the fresh
-// result, by solver determinism), otherwise it is discarded and the slot
-// re-solves at current prices (the stale-price repricing rule, §10).
+// them the paper's per-arrival Fig. 12 loop.  Workers price only the open
+// epoch's arrivals: every admission moves Fortz-Thorup prices, so work done
+// for a later epoch would almost never survive to its commit (§10).
 //
 // Declared here in the online layer, implemented in src/sofe/api/
 // pipeline.cpp beside the sequential driver: both drive api::Solver
@@ -40,10 +38,7 @@ struct PipelineOptions {
   /// 1 reproduces the sequential driver's schedule with the pipeline's
   /// machinery (still bit-identical — as is every other count).
   int workers = 1;
-  /// How many epochs ahead an idle worker may speculate (it prices a
-  /// not-yet-opened slot against the current snapshot; the stale-price
-  /// rule validates or re-solves at commit).  0 disables speculation.
-  int lookahead_epochs = 1;
+  int lookahead_epochs = 0;  // inert; remove at the next benchmark change
 };
 
 /// The admission pipeline.  One instance serves one arrival stream; run()

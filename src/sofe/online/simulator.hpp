@@ -70,10 +70,9 @@ struct OnlineConfig {
   /// Recurring-source mode (DESIGN.md §13): when > 0, every request draws
   /// its sources from ONE pool of this many access nodes, sampled up front
   /// from the same RNG stream, instead of from the whole topology — the
-  /// steady-state workload where a session's LRU row-retention window pays
-  /// off, because yesterday's source hubs keep coming back.  Must be 0
-  /// (off, the paper's Fig. 12 setting — the request sequence is then
-  /// byte-identical to pre-pool builds) or >= max_sources.
+  /// skewed-tenant workload where yesterday's source hubs keep coming
+  /// back.  Must be 0 (off, the paper's Fig. 12 setting — the request
+  /// sequence is then byte-identical to pre-pool builds) or >= max_sources.
   int source_pool = 0;
   /// Skew of the recurring-source draw: pool member at popularity rank r
   /// (0-based) is picked with weight 1 / (r + 1)^source_alpha, without
@@ -114,20 +113,15 @@ struct OnlineResult {
   std::size_t overloaded_links = 0;
   int workers = 1;     // echo: pricing workers (1 = the sequential driver)
   int epoch_size = 1;  // echo: OnlineConfig::epoch_size
-  // Pipeline-only diagnostics.  Timing-dependent — two runs of the same
-  // scenario may split speculation differently — so they are excluded from
-  // every determinism comparison; the cost series above never varies.
-  int stale_repriced = 0;       // speculative results discarded and re-solved
-  int speculative_commits = 0;  // speculative results that validated as fresh
+  // Pipeline-only diagnostics, timing-dependent and so excluded from every
+  // determinism comparison; the cost series above never varies.
+  int stale_repriced = 0;       // inert, always 0; remove at the next benchmark change
+  int speculative_commits = 0;  // inert, always 0; remove at the next benchmark change
   double publish_seconds = 0.0; // commit-thread wall spent publishing epochs
-  /// Publisher-session steady-state tallies (DESIGN.md §13), summed over
-  /// every epoch publish: warm-row hits, rows retained/evicted by the
-  /// LRU window, and the peak closure slab footprint.  Zero for the
-  /// sequential driver (its per-solve tallies live on the solver's
-  /// ReportAccumulator) and for solver families without epoch closures.
-  std::size_t closure_row_hits = 0;
-  std::size_t closure_rows_retained = 0;
-  std::size_t closure_rows_evicted = 0;
+  /// Peak slab footprint of the publisher's closure over every epoch
+  /// publish (DESIGN.md §13).  Zero for the sequential driver (its
+  /// per-solve footprint lives on the solver's ReportAccumulator) and for
+  /// solver families without epoch closures.
   std::size_t peak_closure_bytes = 0;
   /// Admission series (DESIGN.md §14), deterministic and compared bitwise
   /// between the two drivers.  `accepted[r]` is 1 iff arrival r was

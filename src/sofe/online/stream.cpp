@@ -36,17 +36,19 @@ void validate(const OnlineConfig& cfg) {
   if (cfg.vms_per_dc < 0) {
     fail("vms_per_dc must be >= 0 (got " + std::to_string(cfg.vms_per_dc) + ")");
   }
-  if (cfg.demand_mbps < 0.0) fail("demand_mbps must be >= 0");
-  if (cfg.link_capacity <= 0.0) fail("link_capacity must be > 0");
-  if (cfg.host_capacity <= 0.0) fail("host_capacity must be > 0");
-  if (cfg.setup_scale < 0.0) fail("setup_scale must be >= 0");
+  // The real-valued bounds are negated so that NaN, which fails every
+  // comparison, is rejected too.
+  if (!(cfg.demand_mbps >= 0.0)) fail("demand_mbps must be >= 0");
+  if (!(cfg.link_capacity > 0.0)) fail("link_capacity must be > 0");
+  if (!(cfg.host_capacity > 0.0)) fail("host_capacity must be > 0");
+  if (!(cfg.setup_scale >= 0.0)) fail("setup_scale must be >= 0");
   if (cfg.holding_arrivals < 0) {
     fail("holding_arrivals must be >= 0 (got " + std::to_string(cfg.holding_arrivals) + ")");
   }
   if (cfg.epoch_size < 1) {
     fail("epoch_size must be >= 1 (got " + std::to_string(cfg.epoch_size) + ")");
   }
-  if (cfg.recovery.migration_cost_weight < 0.0) {
+  if (!(cfg.recovery.migration_cost_weight >= 0.0)) {
     fail("recovery.migration_cost_weight must be >= 0 (got " +
          std::to_string(cfg.recovery.migration_cost_weight) + ")");
   }
@@ -55,7 +57,7 @@ void validate(const OnlineConfig& cfg) {
          std::to_string(cfg.source_pool) + " with max_sources " +
          std::to_string(cfg.max_sources) + ")");
   }
-  if (cfg.source_alpha < 0.0) {
+  if (!(cfg.source_alpha >= 0.0)) {
     fail("source_alpha must be >= 0 (got " + std::to_string(cfg.source_alpha) + ")");
   }
   if (!cfg.admission.empty()) {

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <set>
+#include <unordered_set>
 
 #include "sofe/costmodel/fortz_thorup.hpp"
 #include "sofe/graph/dsu.hpp"
@@ -127,11 +129,17 @@ Topology inet(int nodes, int links, int dcs, std::uint64_t seed) {
   // Preferential attachment on a small connected seed: heavy-tailed degrees
   // over a connected core, matching Inet's defining property at this scale.
   std::vector<NodeId> endpoint_pool;  // node repeated once per incident edge
-  std::set<std::pair<NodeId, NodeId>> present;
+  endpoint_pool.reserve(2 * static_cast<std::size_t>(links));
+  // Links present so far, keyed (min << 32 | max) in a hash set: the check
+  // runs once per attachment attempt, and building an Inet-2000 core is
+  // part of every online run's set-up.
+  std::unordered_set<std::uint64_t> present;
+  present.reserve(static_cast<std::size_t>(links));
   auto link = [&](NodeId u, NodeId v) {
-    const auto key = Graph::edge_key(u, v);
-    if (u == v || present.contains(key)) return false;
-    present.insert(key);
+    const auto [lo, hi] = Graph::edge_key(u, v);
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(lo) << 32) | static_cast<std::uint32_t>(hi);
+    if (u == v || !present.insert(key).second) return false;
     // Link length: mild random transmission cost; refined by make_problem.
     t.g.add_edge(u, v, rng.uniform(1.0, 2.0));
     endpoint_pool.push_back(u);

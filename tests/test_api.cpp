@@ -235,10 +235,11 @@ TEST(Session, StructuralMutationInvalidatesTheClosure) {
 }
 
 TEST(Session, HubSetShrinkReusesTheSupersetClosure) {
-  // Incremental sessions cache the UNION of hub sets: dropping a source
-  // leaves its (now unqueried) tree in place, so the shrunken request is a
-  // pure hit — and the result still matches the free function exactly,
-  // because every tree is an independent Dijkstra.
+  // An incremental hit needs every requested hub stored, not the exact
+  // set: dropping a source leaves its (now unqueried) tree in place until
+  // the next repair, so the shrunken request is a pure hit — and the
+  // result still matches the free function exactly, because every tree is
+  // an independent Dijkstra.
   auto p = quickstart_instance();
   auto solver = make_solver("sofda");
   (void)solver->solve(p);
@@ -655,54 +656,39 @@ TEST(CowPublish, RetireUnpinsSlabsAndRepairsGoBackInPlace) {
   EXPECT_EQ(live.tree(0).dist, relocated);
 }
 
-TEST(RetentionWindow, LruKeepsRecentRowsEvictsOldestAndCapsAtTheWindow) {
+// Rows are request-scoped (DESIGN.md §13): a repair-path acquire keeps
+// exactly the requested rows, so a hub the request drops is gone — and
+// repaired no more — and its return builds the row afresh.
+TEST(ClosureSession, RepairKeepsExactlyTheRequestedRows) {
   auto g = quickstart_instance().network;
   api::ClosureSession session;
-  api::ClosureRequest req;
-  req.retention = 1;
+  const api::ClosureRequest req;
 
   api::SolveReport cold;
-  session.acquire(g, {0}, req, cold);  // cold rebuild: nothing retained yet
+  const graph::MetricClosure& live = session.acquire(g, {0, 5}, req, cold);
+  ASSERT_EQ(live.hub_count(), 2u);
 
-  api::SolveReport second;
-  session.acquire(g, {5}, req, second);  // extends 5, retains 0 (window cap 1)
-  EXPECT_EQ(second.closure_row_hits, 0);
-  EXPECT_EQ(second.closure_rows_retained, 1);
-  EXPECT_EQ(second.closure_rows_evicted, 0);
-
-  api::SolveReport third;
-  session.acquire(g, {7}, req, third);  // retains 5 (most recent), evicts 0
-  EXPECT_EQ(third.closure_row_hits, 0);
-  EXPECT_EQ(third.closure_rows_retained, 1);
-  EXPECT_EQ(third.closure_rows_evicted, 1);
-
-  api::SolveReport returning;
-  session.acquire(g, {5}, req, returning);  // 5 was kept warm: a row hit
-  EXPECT_EQ(returning.closure_row_hits, 1);
-
-  api::SolveReport evicted;
-  session.acquire(g, {0}, req, evicted);  // 0 fell out of the window: cold
-  EXPECT_EQ(evicted.closure_row_hits, 0);
-}
-
-TEST(RetentionWindow, ZeroRetentionKeepsStrictRequestRows) {
-  auto g = quickstart_instance().network;
-  api::ClosureSession session;
-  api::ClosureRequest req;  // retention = 0
-
-  api::SolveReport first;
-  const graph::MetricClosure& live = session.acquire(g, {0}, req, first);
-
-  api::SolveReport second;
-  session.acquire(g, {5}, req, second);
-  EXPECT_EQ(second.closure_rows_retained, 0);
-  EXPECT_EQ(second.closure_rows_evicted, 1);
+  g.set_edge_cost(g.find_edge(0, 1), 6.5);
+  api::SolveReport churn;
+  session.acquire(g, {5, 7}, req, churn);  // 0 churns out, 7 churns in
+  EXPECT_TRUE(churn.closure_repaired);
+  EXPECT_EQ(churn.closure_hubs_added, 1);
+  EXPECT_EQ(live.hub_count(), 2u);
   EXPECT_FALSE(live.is_hub(0));
   EXPECT_TRUE(live.is_hub(5));
+  EXPECT_TRUE(live.is_hub(7));
 
   api::SolveReport back;
-  session.acquire(g, {0}, req, back);  // dropped, so no warm row to hit
-  EXPECT_EQ(back.closure_row_hits, 0);
+  session.acquire(g, {0}, req, back);  // dropped, so 0 is built again
+  EXPECT_TRUE(back.closure_repaired);
+  EXPECT_EQ(back.closure_hubs_added, 1);
+  EXPECT_EQ(live.hub_count(), 1u);
+  const graph::MetricClosure fresh(g, std::vector<NodeId>{0}, 1);
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(live.distance(0, v), fresh.distance(0, v)) << "node " << v;  // bitwise
+  }
+  // The frozen benchmark still reads the retired row tallies; they stay 0.
+  EXPECT_EQ(back.closure_row_hits + back.closure_rows_retained + back.closure_rows_evicted, 0);
 }
 
 }  // namespace

@@ -427,56 +427,6 @@ TEST(ShardedClosure, ExtendAddsHubRowsIncrementally) {
       << "re-extending a warm hub should not re-ship rows";
 }
 
-TEST(ShardedClosure, RetentionWindowServesReturningHubsWithoutReExchange) {
-  // The session-level steady state (DESIGN.md §13): a source hub leaves
-  // the request set, the LRU retention window keeps its rows — local roots
-  // AND the stitched row — warm through the delta stream, and when the hub
-  // returns it is served as a row hit with ZERO additional exchanged
-  // entries (extending the warm-local-roots property of the retain/extend
-  // test above to the whole acquire path).
-  auto p = sharded_problem(55);
-  auto hubs = hub_set(p);
-  const NodeId late = hubs.back();
-  const std::vector<NodeId> without(hubs.begin(), hubs.end() - 1);
-
-  api::ClosureSession session;
-  api::ClosureRequest req;
-  req.threads = 2;
-  req.retention = 8;
-  req.settle_targets = std::span<const NodeId>(p.destinations);
-  MessageBus bus;
-
-  api::SolveReport cold;
-  session.acquire_sharded(p.network, hubs, 3, req, bus, cold);
-  EXPECT_FALSE(cold.closure_cache_hit);
-
-  // The hub leaves; a price move forces the repair path.  The window
-  // retains the hub's rows instead of evicting them, and the refresh
-  // revalidates everything kept against the delta batch.
-  p.network.set_edge_cost(0, p.network.edge(0).cost * 2.0);
-  api::SolveReport drop;
-  const auto& repaired = session.acquire_sharded(p.network, without, 3, req, bus, drop);
-  ASSERT_TRUE(drop.closure_repaired);
-  EXPECT_EQ(drop.closure_rows_retained, 1);
-  EXPECT_EQ(drop.closure_rows_evicted, 0);
-  ASSERT_TRUE(repaired.closure().is_hub(late)) << "retained hub lost its stitched row";
-  const std::size_t entries_after_drop = repaired.stats().exchanged_entries;
-
-  // The hub returns with prices unchanged: every requested row is already
-  // stored and repaired, so the acquire hits, counts the comeback as a
-  // row hit, ships nothing — and the answers are bitwise the global
-  // closure's.
-  api::SolveReport back;
-  const auto& warm = session.acquire_sharded(p.network, hubs, 3, req, bus, back);
-  EXPECT_TRUE(back.closure_cache_hit);
-  EXPECT_EQ(back.closure_row_hits, 1);
-  EXPECT_EQ(warm.stats().exchanged_entries, entries_after_drop)
-      << "a returning retained hub must not re-ship rows";
-
-  const graph::MetricClosure global(p.network, hubs, 1);
-  expect_rows_bitwise_equal(warm.closure(), global, hubs, p.destinations, "retention");
-}
-
 TEST(DistributedSofda, CertificateBitwiseIdenticalAcrossKAndThreads) {
   // The acceptance bar: "dist/k=<int>" solves stay *bitwise* identical to
   // the centralized run — certificate, walks and total cost, not just a

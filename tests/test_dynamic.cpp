@@ -69,6 +69,56 @@ TEST(Dynamic, JoinServesNewcomer) {
   EXPECT_FALSE(live.destination_join(newcomer)) << "double join must fail";
 }
 
+// A destination cut off by +inf links (the price of a failed link, as in
+// a failure drill) cannot join: no walk position reaches it, so the join
+// fails and the walks stay exactly as they were.
+TEST(Dynamic, JoinOfStrandedDestinationFailsAndLeavesWalksUnchanged) {
+  topology::ProblemConfig cfg;
+  cfg.num_vms = 10;
+  cfg.num_sources = 3;
+  cfg.num_destinations = 4;
+  cfg.chain_length = 2;
+  cfg.seed = 3;
+  Problem p = topology::make_problem(topology::softlayer(), cfg);
+  const auto incident = [&](NodeId v) {
+    std::vector<graph::EdgeId> out;
+    for (graph::EdgeId e = 0; e < p.network.edge_count(); ++e) {
+      if (p.network.edge(e).u == v || p.network.edge(e).v == v) out.push_back(e);
+    }
+    return out;
+  };
+  // An access node that is neither a source nor a destination and hosts no
+  // VM, so cutting it off strands nothing but itself.
+  NodeId stranded = graph::kInvalidNode;
+  for (NodeId v = 0; v < 27 && stranded == graph::kInvalidNode; ++v) {
+    bool usable =
+        std::find(p.destinations.begin(), p.destinations.end(), v) == p.destinations.end() &&
+        std::find(p.sources.begin(), p.sources.end(), v) == p.sources.end();
+    for (graph::EdgeId e : incident(v)) {
+      const graph::Edge& edge = p.network.edge(e);
+      usable = usable && !p.is_vm[static_cast<std::size_t>(edge.u == v ? edge.v : edge.u)];
+    }
+    if (usable) stranded = v;
+  }
+  ASSERT_NE(stranded, graph::kInvalidNode);
+  for (graph::EdgeId e : incident(stranded)) p.network.set_edge_cost(e, graph::kInfiniteCost);
+  ServiceForest f = sofda(p);
+  ASSERT_FALSE(f.empty());
+  DynamicForest live(std::move(p), std::move(f));
+  const ServiceForest before = live.forest();
+  const std::size_t destinations = live.problem().destinations.size();
+
+  EXPECT_FALSE(live.destination_join(stranded));
+  EXPECT_EQ(live.problem().destinations.size(), destinations);
+  ASSERT_EQ(live.forest().walks.size(), before.walks.size());
+  for (std::size_t i = 0; i < before.walks.size(); ++i) {
+    EXPECT_EQ(live.forest().walks[i].source, before.walks[i].source) << "walk " << i;
+    EXPECT_EQ(live.forest().walks[i].destination, before.walks[i].destination) << "walk " << i;
+    EXPECT_EQ(live.forest().walks[i].nodes, before.walks[i].nodes) << "walk " << i;
+    EXPECT_EQ(live.forest().walks[i].vnf_pos, before.walks[i].vnf_pos) << "walk " << i;
+  }
+}
+
 TEST(Dynamic, JoinReusesExistingChains) {
   auto live = make_live(4);
   const auto enabled_before = live.forest().enabled_vms();

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "sofe/core/sofda.hpp"
 #include "sofe/io/io.hpp"
 #include "sofe/topology/topology.hpp"
@@ -52,17 +55,38 @@ TEST(Io, RoundTripEquivalentSolverBehavior) {
   EXPECT_DOUBLE_EQ(core::total_cost(p, core::sofda(p)), core::total_cost(q, core::sofda(q)));
 }
 
+/// Every malformed text must throw the parser's own error naming `field`:
+/// never a bare std::stoi/std::stod exception, an assert, or a silent
+/// partial parse.
+void expect_parse_error(const std::string& text, const std::string& field) {
+  try {
+    (void)deserialize(text);
+    ADD_FAILURE() << "accepted malformed input:\n" << text;
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "sofe-instance parse error: " + field) << text;
+  }
+}
+
 TEST(Io, RejectsMalformedInput) {
-  EXPECT_THROW(deserialize(""), std::runtime_error);
-  EXPECT_THROW(deserialize("sofe-instance v2\n"), std::runtime_error);
-  EXPECT_THROW(deserialize("sofe-instance v1\nnodes -3\n"), std::runtime_error);
-  EXPECT_THROW(deserialize("sofe-instance v1\nnodes 2\nchain 1\nedges 1\n0 5 1.0\n"),
-               std::runtime_error);
+  expect_parse_error("", "bad header");
+  expect_parse_error("sofe-instance v2\n", "bad header");
+  expect_parse_error("sofe-instance v1\nnodes -3\n", "nodes");
+  const std::string head = "sofe-instance v1\nnodes 2\nchain 1\nedges 1\n";
+  const std::string edge = "0 1 1.0\n";
+  const std::string vms = "vms 1:2.0\n";
+  const std::string tail = "sources 0\ndestinations 1\n";
+  EXPECT_NO_THROW(deserialize(head + edge + vms + tail));  // the valid baseline
+  expect_parse_error(head + "0 5 1.0\n", "edge");
+  expect_parse_error(head + "0 1 -1.0\n" + vms + tail, "edge");  // negative cost
+  expect_parse_error(head + "0 0 1.0\n" + vms + tail, "edge");   // self loop
+  expect_parse_error(head + edge + "vms 1:abc\n" + tail, "vms");
+  expect_parse_error(head + edge + "vms 99999999999:1\n" + tail, "vms");
+  expect_parse_error(head + edge + "vms 1x:1\n" + tail, "vms");
+  expect_parse_error(head + edge + vms + "sources 0 zz\ndestinations 1\n", "sources");
   // Well-formedness is enforced: a "switch" with nonzero cost cannot appear
   // because only VMs carry costs in the format; missing sources fail.
-  EXPECT_THROW(deserialize("sofe-instance v1\nnodes 2\nchain 1\nedges 1\n0 1 1.0\n"
-                           "vms 1:2.0\nsources\ndestinations 0\n"),
-               std::runtime_error);
+  expect_parse_error(head + edge + vms + "sources\ndestinations 0\n",
+                     "instance fails well-formedness checks");
 }
 
 TEST(Io, SaveLoadFile) {

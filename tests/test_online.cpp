@@ -230,8 +230,7 @@ TEST(RecurringSources, EveryDrawStaysInsideOnePoolOfDistinctNodes) {
     // Destinations still roam the whole topology, pool or not.
     EXPECT_LE(static_cast<int>(req.destinations.size()), cfg.max_destinations);
   }
-  // 30 requests of 2-3 sources land inside the 5-node pool — the working
-  // set the retention window keeps warm.
+  // 30 requests of 2-3 sources land inside the 5-node pool.
   EXPECT_LE(all_sources.size(), static_cast<std::size_t>(cfg.source_pool));
 
   // Same seed, same sequence: the pool draw is part of the RNG stream.
@@ -240,39 +239,6 @@ TEST(RecurringSources, EveryDrawStaysInsideOnePoolOfDistinctNodes) {
     EXPECT_EQ(stream.request(r).sources, again.request(r).sources);
     EXPECT_EQ(stream.request(r).destinations, again.request(r).destinations);
   }
-}
-
-TEST(RecurringSources, RetentionTurnsReturningSourcesIntoRowHits) {
-  // The steady-state claim (DESIGN.md §13): with sources recurring from a
-  // fixed pool, the retention window serves returning hubs from warm rows
-  // — visible as closure_row_hits — while retention 0 never does; and the
-  // window is a pure speed knob, so both series are bitwise identical.
-  const auto topo = topology::softlayer();
-  auto cfg = small_config();
-  cfg.requests = 24;
-  cfg.holding_arrivals = 4;
-  cfg.source_pool = 6;
-  cfg.source_alpha = 1.0;
-
-  api::SolverOptions warm_opt;  // default retention_rows = 256
-  auto warm_solver = api::make_solver("sofda", warm_opt);
-  api::ReportAccumulator warm;
-  warm_solver->set_report_sink(&warm);
-  const auto warm_series = simulate(topo, cfg, *warm_solver);
-
-  api::SolverOptions cold_opt;
-  cold_opt.retention_rows = 0;
-  auto cold_solver = api::make_solver("sofda", cold_opt);
-  api::ReportAccumulator cold;
-  cold_solver->set_report_sink(&cold);
-  const auto cold_series = simulate(topo, cfg, *cold_solver);
-
-  expect_results_identical(warm_series, cold_series);
-  EXPECT_GT(warm.closure_row_hits(), 0u);
-  EXPECT_GT(warm.closure_rows_retained(), 0u);
-  EXPECT_EQ(cold.closure_row_hits(), 0u);
-  EXPECT_EQ(cold.closure_rows_retained(), 0u);
-  EXPECT_GT(warm.peak_closure_bytes(), 0u);
 }
 
 }  // namespace
