@@ -210,7 +210,11 @@ class ClosureSession {
   /// extend.  Outcomes mirror acquire(): hit (same structure/costs/k, hubs
   /// present — nothing charged), repair (retain + refresh + extend on the
   /// sharded closure; incremental unbounded sessions only), rebuild
-  /// (re-partition + full sharded build).  `req.settle_targets` names the
+  /// (re-partition + full sharded build).  The repair's retain is
+  /// request-scoped on every layer (DESIGN.md §13): stitched rows, local
+  /// roots and advertisements of hubs no longer named all go, so a
+  /// returning non-border source pays one local Dijkstra and, outside the
+  /// coordinator's domain, one row exchange.  `req.settle_targets` names the
   /// problem's destinations — the sharded closure's advertisement targets,
   /// bounded or not.  Results are bit-identical to a fresh global closure
   /// at every k and thread count (tested), so sharing one session between

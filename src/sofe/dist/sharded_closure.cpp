@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 #include <thread>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -20,16 +19,15 @@ double seconds_since(Clock::time_point t0) {
 
 }  // namespace
 
-void ShardedClosure::build_domain(int d, int inner_threads) {
-  const auto t0 = Clock::now();
+void ShardedClosure::plan_domain(int d) {
   const auto du = static_cast<std::size_t>(d);
-  const auto& dom = dg_.domains[du];
   auto& ds = domains_[du];
-  const auto& members = part_.members[du];
+  const std::size_t members = part_.members[du].size();
 
   // Roots: the domain's borders (ascending, as partitioned) then the hubs it
   // owns, in hub-list order, deduplicated.
-  ds.row_of_local.assign(members.size(), -1);
+  ds.roots.clear();
+  ds.row_of_local.assign(members, -1);
   const auto add_root = [&](NodeId global) {
     const int lv = dg_.local(global);
     if (ds.row_of_local[static_cast<std::size_t>(lv)] >= 0) return;
@@ -41,8 +39,10 @@ void ShardedClosure::build_domain(int d, int inner_threads) {
     if (part_.domain(h) == d) add_root(h);
   }
 
-  // Settle targets: borders ∪ owned hubs ∪ owned destinations (local ids).
-  ds.is_target_local.assign(members.size(), 0);
+  // Settle targets: borders ∪ owned hubs ∪ owned cold-build destinations
+  // (local ids).
+  ds.targets_local.clear();
+  ds.is_target_local.assign(members, 0);
   const auto add_target = [&](NodeId global) {
     const auto lv = static_cast<std::size_t>(dg_.local(global));
     if (ds.is_target_local[lv]) return;
@@ -56,14 +56,25 @@ void ShardedClosure::build_domain(int d, int inner_threads) {
   for (NodeId t : dests_) {
     if (part_.domain(t) == d) add_target(t);
   }
+}
 
-  std::vector<NodeId> local_roots;
-  local_roots.reserve(ds.roots.size());
-  for (NodeId r : ds.roots) local_roots.push_back(static_cast<NodeId>(dg_.local(r)));
+std::vector<NodeId> ShardedClosure::local_roots(int d) const {
+  const auto& roots = domains_[static_cast<std::size_t>(d)].roots;
+  std::vector<NodeId> out;
+  out.reserve(roots.size());
+  for (NodeId r : roots) out.push_back(static_cast<NodeId>(dg_.local(r)));
+  return out;
+}
+
+void ShardedClosure::build_domain(int d, int inner_threads) {
+  const auto t0 = Clock::now();
+  const auto du = static_cast<std::size_t>(d);
+  auto& ds = domains_[du];
+  plan_domain(d);
 
   graph::ClosureScope scope;
   if (bounded_) scope = {true, std::span<const NodeId>(ds.targets_local)};
-  ds.local.build(dom.subgraph, local_roots, inner_threads, nullptr, scope);
+  ds.local.build(dg_.domains[du].subgraph, local_roots(d), inner_threads, nullptr, scope);
 
   ds.advert.resize(ds.roots.size());
   for (std::size_t i = 0; i < ds.roots.size(); ++i) {
@@ -110,26 +121,21 @@ std::vector<EdgeId> ShardedClosure::advertise_row(int d, NodeId root_global) con
   return out;
 }
 
-void ShardedClosure::swap_row_advert(int d, int row, std::vector<EdgeId> fresh,
-                                     std::vector<std::pair<EdgeId, Cost>>& first_touch) {
-  auto& advert = domains_[static_cast<std::size_t>(d)].advert[static_cast<std::size_t>(row)];
-  const auto touch = [&](EdgeId e) {
-    // Pre-change effective mask cost; masked_ still holds the pre-refresh
-    // state here, so an advertised edge reads its old real cost.
-    first_touch.emplace_back(e, ref_[static_cast<std::size_t>(e)] > 0
-                                    ? masked_.edge(e).cost
-                                    : graph::kInfiniteCost);
-  };
+std::size_t ShardedClosure::swap_advert(std::vector<EdgeId>& advert,
+                                        std::vector<EdgeId> fresh) {
   // Both vectors are sorted: one merge pass finds removals and additions.
+  std::size_t moved = 0;
   std::size_t i = 0, j = 0;
   while (i < advert.size() || j < fresh.size()) {
     if (j == fresh.size() || (i < advert.size() && advert[i] < fresh[j])) {
-      touch(advert[i]);
       --ref_[static_cast<std::size_t>(advert[i])];
+      touched_.push_back(advert[i]);
+      ++moved;
       ++i;
     } else if (i == advert.size() || fresh[j] < advert[i]) {
-      touch(fresh[j]);
       ++ref_[static_cast<std::size_t>(fresh[j])];
+      touched_.push_back(fresh[j]);
+      ++moved;
       ++j;
     } else {
       ++i;
@@ -137,6 +143,40 @@ void ShardedClosure::swap_row_advert(int d, int row, std::vector<EdgeId> fresh,
     }
   }
   advert = std::move(fresh);
+  return moved;
+}
+
+void ShardedClosure::repair_stitch(const Graph& g, int num_threads,
+                                   std::vector<graph::MetricClosure::RowDelta>* changed) {
+  // masked_ holds the costs the stitched closure was last built or repaired
+  // against, so each touched edge moves from its masked_ cost to its real
+  // cost if some advertisement names it, else to +inf.
+  std::sort(touched_.begin(), touched_.end());
+  touched_.erase(std::unique(touched_.begin(), touched_.end()), touched_.end());
+  std::vector<graph::EdgeCostDelta> mask_deltas;
+  for (EdgeId e : touched_) {
+    const Cost old_eff = masked_.edge(e).cost;
+    const Cost now =
+        ref_[static_cast<std::size_t>(e)] > 0 ? g.edge(e).cost : graph::kInfiniteCost;
+    if (now != old_eff) {
+      masked_.set_edge_cost(e, now);
+      mask_deltas.push_back({e, old_eff, now});
+    }
+  }
+  touched_.clear();
+  stats_.skeleton_edges = static_cast<std::size_t>(
+      std::count_if(ref_.begin(), ref_.end(), [](int r) { return r > 0; }));
+  if (mask_deltas.empty()) return;
+
+  const auto t0 = Clock::now();
+  std::vector<graph::MetricClosure::RowDelta> flips;
+  stitched_.refresh(masked_, mask_deltas, num_threads, nullptr,
+                    changed != nullptr ? &flips : nullptr);
+  if (changed != nullptr) {
+    changed->insert(changed->end(), std::make_move_iterator(flips.begin()),
+                    std::make_move_iterator(flips.end()));
+  }
+  stats_.stitch_seconds += seconds_since(t0);
 }
 
 void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> hubs,
@@ -148,6 +188,7 @@ void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> h
   dests_.assign(destinations.begin(), destinations.end());
   bounded_ = bounded;
   stats_ = Stats{};
+  touched_.clear();
   const int k = part_.num_domains;
   stats_.domains = k;
 
@@ -233,13 +274,10 @@ void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelt
 
   // Route every delta to its owning domain; cross-link deltas have no owner
   // and hit the mask directly (their refcount base never drops).
-  std::vector<std::pair<EdgeId, Cost>> first_touch;  // (edge, pre-refresh effective cost)
   std::vector<std::vector<graph::EdgeCostDelta>> local_deltas(static_cast<std::size_t>(k));
   for (const auto& dc : deltas) {
-    const auto eu = static_cast<std::size_t>(dc.edge);
-    first_touch.emplace_back(dc.edge,
-                             ref_[eu] > 0 ? dc.old_cost : graph::kInfiniteCost);
-    const EdgeId le = dg_.edge_local[eu];
+    touched_.push_back(dc.edge);
+    const EdgeId le = dg_.edge_local[static_cast<std::size_t>(dc.edge)];
     if (le == graph::kInvalidEdge) continue;
     const int dm = part_.domain(g.edge(dc.edge).u);
     local_deltas[static_cast<std::size_t>(dm)].push_back({le, dc.old_cost, dc.new_cost});
@@ -260,11 +298,10 @@ void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelt
     for (const auto& rc : local_changed) {
       const int row = ds.row_of_local[static_cast<std::size_t>(rc.hub)];
       assert(row >= 0 && "local refresh reported a non-root row");
-      swap_row_advert(d, row, advertise_row(d, ds.roots[static_cast<std::size_t>(row)]),
-                      first_touch);
+      const auto ru = static_cast<std::size_t>(row);
+      swap_advert(ds.advert[ru], advertise_row(d, ds.roots[ru]));
       ++stats_.repaired_rows;
-      const std::size_t entries =
-          ds.advert[static_cast<std::size_t>(row)].size() + ds.targets_local.size();
+      const std::size_t entries = ds.advert[ru].size() + ds.targets_local.size();
       if (d != 0) {
         bus.send(entries);
         ++stats_.exchanged_rows;
@@ -279,32 +316,8 @@ void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelt
     ++stats_.exchange_rounds;
   }
 
-  // Fold refcount moves and real cost changes into mask deltas (first
-  // record per edge wins: it carries the pre-refresh effective cost).
-  std::stable_sort(first_touch.begin(), first_touch.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<graph::EdgeCostDelta> mask_deltas;
-  EdgeId last = graph::kInvalidEdge;
-  for (const auto& [e, old_eff] : first_touch) {
-    if (e == last) continue;
-    last = e;
-    const Cost now =
-        ref_[static_cast<std::size_t>(e)] > 0 ? g.edge(e).cost : graph::kInfiniteCost;
-    if (now != old_eff) {
-      masked_.set_edge_cost(e, now);
-      mask_deltas.push_back({e, old_eff, now});
-    }
-  }
-  stats_.skeleton_edges = 0;
-  for (int r : ref_) stats_.skeleton_edges += r > 0 ? 1 : 0;
-
-  if (!mask_deltas.empty()) {
-    const auto t0 = Clock::now();
-    stitched_.refresh(masked_, mask_deltas, num_threads, nullptr, changed);
-    stats_.stitch_seconds += seconds_since(t0);
-  } else if (changed != nullptr) {
-    changed->clear();
-  }
+  if (changed != nullptr) changed->clear();
+  repair_stitch(g, num_threads, changed);
 }
 
 void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
@@ -324,19 +337,18 @@ void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int
     new_hubs_of[static_cast<std::size_t>(part_.domain(h))].push_back(h);
   }
 
-  std::vector<std::pair<EdgeId, Cost>> first_touch;
   bool sent = false;
   for (int d = 0; d < k; ++d) {
     const auto du = static_cast<std::size_t>(d);
     if (new_hubs_of[du].empty()) continue;
     auto& ds = domains_[du];
 
-    // New local roots and targets for the hubs this domain now owns.  A hub
-    // churning back in may already be a (warm) root — then nothing local
-    // changes and no re-exchange is charged.
+    // New local roots and targets for the hubs this domain now owns.  A
+    // border is a root and a target already; every other hub is new here,
+    // since retain() drops the roots and targets of the hubs it drops.
     std::vector<NodeId> new_root_locals;
     const std::size_t old_rows = ds.roots.size();
-    bool new_targets = false;
+    std::size_t new_targets = 0;
     for (NodeId h : new_hubs_of[du]) {
       const auto lv = static_cast<std::size_t>(dg_.local(h));
       if (ds.row_of_local[lv] < 0) {
@@ -347,7 +359,7 @@ void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int
       if (!ds.is_target_local[lv]) {
         ds.is_target_local[lv] = 1;
         ds.targets_local.push_back(static_cast<NodeId>(lv));
-        new_targets = true;
+        ++new_targets;
       }
     }
     if (!new_root_locals.empty()) {
@@ -357,17 +369,14 @@ void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int
 
     // Every pre-existing root must now also advertise its chains toward the
     // new targets (the final segment of any global chain into a new hub
-    // enters this domain at one of these roots); only the appended entries
-    // ship.  New rows advertise — and ship — in full.
+    // enters this domain at one of these roots); it ships only its edge-set
+    // diff plus one distance slot per new target.  New rows advertise — and
+    // ship — in full.
     for (std::size_t row = 0; row < ds.roots.size(); ++row) {
       const bool fresh_row = row >= old_rows;
-      if (!fresh_row && !new_targets) continue;
-      const std::size_t before = fresh_row ? 0 : ds.advert[row].size();
-      swap_row_advert(d, static_cast<int>(row), advertise_row(d, ds.roots[row]), first_touch);
-      const std::size_t appended = ds.advert[row].size() - before;
-      const std::size_t entries =
-          fresh_row ? ds.advert[row].size() + ds.targets_local.size()
-                    : appended + new_hubs_of[du].size();
+      if (!fresh_row && new_targets == 0) continue;
+      const std::size_t moved = swap_advert(ds.advert[row], advertise_row(d, ds.roots[row]));
+      const std::size_t entries = moved + (fresh_row ? ds.targets_local.size() : new_targets);
       ++stats_.repaired_rows;
       if (fresh_row) {
         ++stats_.rows;
@@ -387,44 +396,50 @@ void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int
     ++stats_.exchange_rounds;
   }
 
-  // Freshly advertised edges flip from masked to real — legal deltas for
-  // the stitched repair — then the new hub rows extend the stitched view.
-  std::stable_sort(first_touch.begin(), first_touch.end(),
-                   [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<graph::EdgeCostDelta> mask_deltas;
-  EdgeId last = graph::kInvalidEdge;
-  for (const auto& [e, old_eff] : first_touch) {
-    if (e == last) continue;
-    last = e;
-    const Cost now =
-        ref_[static_cast<std::size_t>(e)] > 0 ? g.edge(e).cost : graph::kInfiniteCost;
-    if (now != old_eff) {
-      masked_.set_edge_cost(e, now);
-      mask_deltas.push_back({e, old_eff, now});
-    }
-  }
-  stats_.skeleton_edges = 0;
-  for (int r : ref_) stats_.skeleton_edges += r > 0 ? 1 : 0;
-
+  // Freshly advertised edges (and the withdrawals of the last retain) flip
+  // the mask — legal deltas for the stitched repair — then the new hub
+  // rows extend the stitched view.
+  repair_stitch(g, num_threads, changed);
   hubs_.insert(hubs_.end(), missing.begin(), missing.end());
   const auto t0 = Clock::now();
-  if (!mask_deltas.empty()) {
-    std::vector<graph::MetricClosure::RowDelta> flips;
-    stitched_.refresh(masked_, mask_deltas, num_threads, nullptr,
-                      changed != nullptr ? &flips : nullptr);
-    if (changed != nullptr) {
-      changed->insert(changed->end(), std::make_move_iterator(flips.begin()),
-                      std::make_move_iterator(flips.end()));
-    }
-  }
   stitched_.extend(masked_, hubs_, num_threads);
   stats_.stitch_seconds += seconds_since(t0);
 }
 
 void ShardedClosure::retain(const std::vector<NodeId>& hubs) {
   stitched_.retain(hubs);
-  std::unordered_set<NodeId> keep(hubs.begin(), hubs.end());
-  std::erase_if(hubs_, [&](NodeId h) { return keep.find(h) == keep.end(); });
+  const std::unordered_set<NodeId> keep(hubs.begin(), hubs.end());
+  std::vector<char> lost(static_cast<std::size_t>(part_.num_domains), 0);
+  std::erase_if(hubs_, [&](NodeId h) {
+    if (keep.contains(h)) return false;
+    lost[static_cast<std::size_t>(part_.domain(h))] = 1;
+    return true;
+  });
+
+  // The local layer is request-scoped too (DESIGN.md §13): a domain that
+  // lost a hub re-plans to its borders plus the hubs it still owns.  A
+  // dropped root leaves the local closure and withdraws its advertisement;
+  // the refcount moves wait in touched_ for the stitched repair of the next
+  // refresh() or extend(), and until then the mask merely over-covers.
+  for (int d = 0; d < part_.num_domains; ++d) {
+    const auto du = static_cast<std::size_t>(d);
+    if (!lost[du]) continue;
+    auto& ds = domains_[du];
+    const std::vector<NodeId> old_roots = std::move(ds.roots);
+    std::vector<std::vector<EdgeId>> old_advert = std::move(ds.advert);
+    plan_domain(d);
+    ds.advert.assign(ds.roots.size(), {});
+    for (std::size_t r = 0; r < old_roots.size(); ++r) {
+      const int row = ds.row_of_local[static_cast<std::size_t>(dg_.local(old_roots[r]))];
+      if (row >= 0) {
+        ds.advert[static_cast<std::size_t>(row)] = std::move(old_advert[r]);
+      } else {
+        swap_advert(old_advert[r], {});
+      }
+    }
+    ds.local.retain(local_roots(d));
+    assert(ds.local.hub_count() == ds.roots.size());
+  }
 }
 
 std::size_t ShardedClosure::memory_bytes() const {

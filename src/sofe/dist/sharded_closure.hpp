@@ -46,7 +46,10 @@
 // closures repair in place, and only the dirtied rows re-advertise — their
 // edge-set diffs become refcount moves on the mask, mask flips are
 // themselves legal EdgeCostDeltas, and the stitched closure repairs through
-// MetricClosure::refresh.  api::ClosureSession drives this path.
+// MetricClosure::refresh.  Rows are request-scoped on both layers
+// (DESIGN.md §13): retain() leaves each domain rooted at its borders plus
+// the retained hubs it owns, so a repair never touches a source no request
+// names.  api::ClosureSession drives this path.
 
 #include <cstddef>
 #include <span>
@@ -98,16 +101,21 @@ class ShardedClosure {
                MessageBus& bus, std::vector<graph::MetricClosure::RowDelta>* changed = nullptr);
 
   /// Adds rows for hubs not yet present (the session's churned-in sources).
-  /// Owning domains grow local roots and targets, every root of an owning
-  /// domain re-advertises toward the new hubs, freshly unmasked edges
-  /// repair the stitched closure (RowDeltas appended to `changed`), and the
-  /// new hub trees extend it.  Unbounded builds only.
+  /// Owning domains grow local roots and targets (one local Dijkstra per
+  /// non-border hub), every root of an owning domain re-advertises toward
+  /// the new hubs, mask flips — including the withdrawals of the last
+  /// retain() — repair the stitched closure (RowDeltas appended to
+  /// `changed`), and the new hub trees extend it.  Unbounded builds only.
   void extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads, MessageBus& bus,
               std::vector<graph::MetricClosure::RowDelta>* changed = nullptr);
 
-  /// Drops stitched rows whose hub is not in `hubs`.  Local roots and their
-  /// advertisements are kept warm (a returning hub costs no re-exchange);
-  /// the mask only ever over-covers, which preserves exactness.
+  /// Drops every row whose hub is not in `hubs`, on both layers: the
+  /// stitched row, and in the owning domain the local root, its settle
+  /// target (unless a border or a cold-build destination) and its
+  /// advertisement.  Each domain keeps its borders plus the retained hubs
+  /// it owns as roots.  The withdrawn advertisements' refcount moves flip
+  /// the mask at the next refresh() or extend(); until then the mask only
+  /// over-covers, which preserves exactness.  Unbounded builds only.
   void retain(const std::vector<NodeId>& hubs);
 
   /// The stitched global view SOFDA prices against.
@@ -126,18 +134,25 @@ class ShardedClosure {
     graph::MetricClosure local;
     std::vector<NodeId> roots;              // global ids, borders first then owned hubs
     std::vector<int> row_of_local;          // local node id -> row index, -1 otherwise
-    std::vector<NodeId> targets_local;      // local ids: borders ∪ owned (hubs ∪ destinations)
+    std::vector<NodeId> targets_local;      // local ids: borders ∪ owned (hubs_ ∪ dests_)
     std::vector<char> is_target_local;      // local node id -> membership in targets_local
     std::vector<std::vector<EdgeId>> advert;  // per row: sorted global edge ids
     double build_seconds = 0.0;
   };
 
+  /// Sets domain `d`'s roots (borders, then the owned hubs of hubs_) and
+  /// settle targets (borders ∪ owned hubs ∪ owned dests_).
+  void plan_domain(int d);
+  std::vector<NodeId> local_roots(int d) const;
   void build_domain(int d, int inner_threads);
   std::vector<EdgeId> advertise_row(int d, NodeId root_global) const;
-  /// Applies an advert edge-set change for one row: refcount moves plus
-  /// first-touch recording of the edge's pre-refresh effective mask cost.
-  void swap_row_advert(int d, int row, std::vector<EdgeId> fresh,
-                       std::vector<std::pair<EdgeId, Cost>>& first_touch);
+  /// Replaces one row's advertisement with `fresh`: refcount moves on the
+  /// mask, each moved edge recorded in touched_.  Returns how many moved.
+  std::size_t swap_advert(std::vector<EdgeId>& advert, std::vector<EdgeId> fresh);
+  /// Turns the touched edges into mask deltas and repairs the stitched
+  /// closure through them, appending its RowDeltas to `changed`.
+  void repair_stitch(const Graph& g, int num_threads,
+                     std::vector<graph::MetricClosure::RowDelta>* changed);
 
   Partition part_;
   DomainGraphs dg_;
@@ -146,7 +161,8 @@ class ShardedClosure {
   Graph masked_;               // copy of g, non-advertised edges at kInfiniteCost
   graph::MetricClosure stitched_;
   std::vector<NodeId> hubs_;   // stitched hub list (global ids)
-  std::vector<NodeId> dests_;  // extra settle targets of bounded stitches
+  std::vector<NodeId> dests_;  // the cold build's destinations
+  std::vector<EdgeId> touched_;  // edges whose refcount or cost moved since the last stitch repair
   bool bounded_ = true;
   Stats stats_;
 };

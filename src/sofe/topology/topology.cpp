@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdint>
 #include <set>
-#include <unordered_set>
 
 #include "sofe/costmodel/fortz_thorup.hpp"
 #include "sofe/graph/dsu.hpp"
@@ -130,16 +129,15 @@ Topology inet(int nodes, int links, int dcs, std::uint64_t seed) {
   // over a connected core, matching Inet's defining property at this scale.
   std::vector<NodeId> endpoint_pool;  // node repeated once per incident edge
   endpoint_pool.reserve(2 * static_cast<std::size_t>(links));
-  // Links present so far, keyed (min << 32 | max) in a hash set: the check
-  // runs once per attachment attempt, and building an Inet-2000 core is
-  // part of every online run's set-up.
-  std::unordered_set<std::uint64_t> present;
-  present.reserve(static_cast<std::size_t>(links));
+  // The duplicate check scans the lower-degree endpoint's adjacency: it
+  // runs once per attachment attempt, most attempts draw a leaf, and
+  // building an Inet-2000 core is part of every online run's set-up.
   auto link = [&](NodeId u, NodeId v) {
-    const auto [lo, hi] = Graph::edge_key(u, v);
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(lo) << 32) | static_cast<std::uint32_t>(hi);
-    if (u == v || !present.insert(key).second) return false;
+    if (u == v) return false;
+    const auto [a, b] = t.g.degree(u) <= t.g.degree(v) ? std::pair{u, v} : std::pair{v, u};
+    for (const graph::Arc& arc : t.g.neighbors(a)) {
+      if (arc.to == b) return false;
+    }
     // Link length: mild random transmission cost; refined by make_problem.
     t.g.add_edge(u, v, rng.uniform(1.0, 2.0));
     endpoint_pool.push_back(u);

@@ -400,31 +400,79 @@ INSTANTIATE_TEST_SUITE_P(Threads, ShardedClosureRepair, ::testing::Values(1, 2, 
 
 TEST(ShardedClosure, ExtendAddsHubRowsIncrementally) {
   // The session's churned-in-source path: build without one source, extend
-  // with it, and land bitwise on the full global closure.
+  // with it, and land bitwise on the full global closure.  Then the two
+  // ways a hub comes back after retain() dropped it.
   const auto p = sharded_problem(55);
-  auto hubs = hub_set(p);
+  const auto hubs = hub_set(p);
   const NodeId late = hubs.back();
-  std::vector<NodeId> initial(hubs.begin(), hubs.end() - 1);
-
-  MessageBus bus;
-  ShardedClosure sc;
-  sc.build(p.network, partition_bfs(p.network, 3), initial, p.destinations, 2, bus,
-           /*bounded=*/false);
-  ASSERT_FALSE(sc.closure().is_hub(late));
-
-  sc.extend(p.network, hubs, 2, bus);
+  const std::vector<NodeId> initial(hubs.begin(), hubs.end() - 1);
+  const auto part = partition_bfs(p.network, 3);
+  const auto is_border = [&part](NodeId v) {
+    const auto& b = part.borders[static_cast<std::size_t>(part.domain(v))];
+    return std::find(b.begin(), b.end(), v) != b.end();
+  };
   const graph::MetricClosure global(p.network, hubs, 1);
-  expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "extend");
 
-  // Retain back to the initial set and re-extend: the warm local rows make
-  // the second extend exchange-free or cheaper, never wrong.
-  const std::size_t entries_first = sc.stats().exchanged_entries;
-  sc.retain(initial);
-  EXPECT_FALSE(sc.closure().is_hub(late));
-  sc.extend(p.network, hubs, 2, bus);
-  expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "re-extend");
-  EXPECT_EQ(sc.stats().exchanged_entries, entries_first)
-      << "re-extending a warm hub should not re-ship rows";
+  // A source outside the coordinator's domain (so its row ships) that is
+  // not a border (so retain() drops its local root), and the first edge of
+  // its route to a border, whose price the test then raises steeply.
+  NodeId leaver = graph::kInvalidNode;
+  for (NodeId h : p.sources) {
+    if (part.domain(h) != 0 && !is_border(h)) {
+      leaver = h;
+      break;
+    }
+  }
+  ASSERT_NE(leaver, graph::kInvalidNode);
+  const auto& leaver_borders = part.borders[static_cast<std::size_t>(part.domain(leaver))];
+  const auto route = global.path(leaver, leaver_borders.front());
+  ASSERT_GE(route.size(), 2u);
+  const EdgeId moved = p.network.find_edge(route[0], route[1]);
+  std::vector<NodeId> without = hubs;
+  std::erase(without, leaver);
+
+  for (int threads : {1, 2, 8}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Graph g = p.network;
+    MessageBus bus;
+    ShardedClosure sc;
+    sc.build(g, part, initial, p.destinations, threads, bus, /*bounded=*/false);
+    ASSERT_FALSE(sc.closure().is_hub(late));
+    sc.extend(g, hubs, threads, bus);
+    expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "extend");
+
+    // `late` is a border of its domain, and a border stays a local root
+    // by construction: retaining it away and re-extending re-ships nothing.
+    ASSERT_TRUE(is_border(late));
+    const std::size_t entries_first = sc.stats().exchanged_entries;
+    sc.retain(initial);
+    EXPECT_FALSE(sc.closure().is_hub(late));
+    sc.extend(g, hubs, threads, bus);
+    expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "re-extend border");
+    EXPECT_EQ(sc.stats().exchanged_entries, entries_first)
+        << "re-extending a border hub should not re-ship rows";
+
+    // Any other hub leaves its domain's local closure with its request: its
+    // advertisement is withdrawn, the refresh folds the withdrawal into the
+    // stitched repair, and coming back costs one local Dijkstra and one
+    // shipped row.
+    sc.retain(without);
+    EXPECT_FALSE(sc.closure().is_hub(leaver));
+    const Cost old_cost = g.edge(moved).cost;
+    g.set_edge_cost(moved, old_cost * 16.0);
+    const graph::EdgeCostDelta delta{moved, old_cost, old_cost * 16.0};
+    sc.refresh(g, std::span(&delta, 1), threads, bus);
+    const graph::MetricClosure global_without(g, without, 1);
+    expect_rows_bitwise_equal(sc.closure(), global_without, without, p.destinations,
+                              "refresh after retain");
+    const std::size_t entries_before = sc.stats().exchanged_entries;
+    sc.extend(g, hubs, threads, bus);
+    EXPECT_GT(sc.stats().exchanged_entries, entries_before)
+        << "a returning non-border hub must re-ship its row";
+    const graph::MetricClosure global_moved(g, hubs, 1);
+    expect_rows_bitwise_equal(sc.closure(), global_moved, hubs, p.destinations,
+                              "re-extend non-border");
+  }
 }
 
 TEST(DistributedSofda, CertificateBitwiseIdenticalAcrossKAndThreads) {
@@ -488,6 +536,7 @@ TEST(DistributedSofda, WarmSessionMatchesSofdaOnRedrawnRequests) {
   const auto central = api::make_solver("sofda");
   util::Rng rng(5);
   int repairs = 0;
+  std::size_t first_bytes = 0;
   for (int i = 0; i < 24; ++i) {
     if (i > 0) {
       for (int j = 0; j < 3; ++j) {
@@ -504,6 +553,7 @@ TEST(DistributedSofda, WarmSessionMatchesSofdaOnRedrawnRequests) {
     }
     const core::ServiceForest fd = dist->solve(p);
     repairs += dist->report().closure_repaired ? 1 : 0;
+    if (i == 0) first_bytes = dist->report().closure_bytes;
     const core::ServiceForest fc = central->solve(p);
     ASSERT_FALSE(fc.empty()) << "request " << i;
     ASSERT_EQ(fd.walks.size(), fc.walks.size()) << "request " << i;
@@ -516,6 +566,12 @@ TEST(DistributedSofda, WarmSessionMatchesSofdaOnRedrawnRequests) {
     }
   }
   EXPECT_GT(repairs, 0) << "the dist session never served a request warm";
+  // Every request has 4 sources, and rows live only as long as a request
+  // names them, on the local layer too: the footprint must not grow with
+  // the number of distinct sources the session has seen.
+  EXPECT_GT(first_bytes, 0u);
+  EXPECT_LE(dist->report().closure_bytes, first_bytes)
+      << "the sharded closure kept rows of sources no request names";
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 
 #include "sofe/graph/oracles.hpp"
 #include "sofe/topology/topology.hpp"
@@ -59,6 +61,31 @@ TEST(Topology, InetDeterministicPerSeed) {
     differs = a.g.edge(e).u != c.g.edge(e).u || a.g.edge(e).v != c.g.edge(e).v;
   }
   EXPECT_TRUE(differs) << "different seeds should give different graphs";
+
+  // Pin the generator itself: FNV-1a over every edge's (u, v, cost bits) of
+  // the benchmark's Inet-2000 core.  A change to how links are drawn or
+  // checked for duplicates that alters the graph or the RNG stream shows
+  // up here.
+  const auto big = inet(2000, 4000, 8, 21);
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto add = [&h](const auto& v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (graph::EdgeId e = 0; e < big.g.edge_count(); ++e) {
+    const auto& edge = big.g.edge(e);
+    std::uint64_t cost_bits = 0;
+    std::memcpy(&cost_bits, &edge.cost, sizeof cost_bits);
+    add(edge.u);
+    add(edge.v);
+    add(cost_bits);
+  }
+  EXPECT_EQ(big.g.edge_count(), 4000);
+  EXPECT_EQ(h, 0x7c0287411904bfd9ULL);
 }
 
 TEST(Topology, Testbed14Counts) {
