@@ -13,7 +13,9 @@
 // Problem, ledger, publisher closure) only while every worker is parked —
 // the `publishing` flag blocks new claims and the `active` counter drains
 // in-flight solves — so the snapshot workers read is immutable by
-// construction, not by convention.
+// construction, not by convention.  While parked, the workers are the
+// publisher's util::LaneRunner: the closure publish runs on N + 1 lanes,
+// lane 0 on the publisher and one posted lane per woken worker.
 //
 // Determinism: slots commit in arrival order against the same epoch
 // snapshots the sequential driver uses, and every number that enters the
@@ -40,6 +42,7 @@
 #include "sofe/api/report.hpp"
 #include "sofe/api/solver.hpp"
 #include "sofe/online/stream.hpp"
+#include "sofe/util/fork_join.hpp"
 #include "sofe/util/stopwatch.hpp"
 
 namespace sofe::online {
@@ -102,7 +105,7 @@ OnlineResult simulate(const topology::Topology& topo, const OnlineConfig& cfg,
   return result;
 }
 
-struct Pipeline::Impl {
+struct Pipeline::Impl final : util::LaneRunner {
   Impl(const topology::Topology& topo, const OnlineConfig& cfg, std::string solver_name,
        const api::SolverOptions& opt, PipelineOptions popt)
       : stream(topo, cfg), solver_name(std::move(solver_name)), opt(opt) {
@@ -141,6 +144,14 @@ struct Pipeline::Impl {
   int dispatch_limit = 0;            // slots [0, dispatch_limit) are claimable
   std::exception_ptr failure;        // first worker exception, rethrown by run()
 
+  // The posted publish lanes (fork/join below): lanes [next_lane,
+  // lane_total) are unclaimed, and lanes_done counts the returned ones
+  // among 1 .. lane_total - 1 (lane 0 is the publisher's own).
+  const Lane* lane_fn = nullptr;
+  int lane_total = 0;
+  int next_lane = 0;
+  int lanes_done = 0;
+
   // One entry per published epoch: payloads[g] is the snapshot advance
   // from generation g to g + 1.  Workers fold the batches they missed
   // into their replicas at claim time (under mu; O(moved links) per
@@ -177,6 +188,9 @@ struct Pipeline::Impl {
   std::size_t pub_peak_bytes = 0;  // publisher closure slab footprint (§13)
 
   void worker_main(Problem replica);
+  void run_lane(std::unique_lock<std::mutex>& lock);
+  void fork(int lanes, const Lane& lane) override;
+  void join() override;
   int publish_epoch(int first);
   void serve(OnlineResult& result);
   OnlineResult run();
@@ -192,7 +206,13 @@ void Pipeline::Impl::worker_main(Problem replica) {
 
   std::unique_lock lock(mu);
   for (;;) {
-    cv_work.wait(lock, [&] { return done || (!publishing && next_slot < dispatch_limit); });
+    cv_work.wait(lock, [&] {
+      return next_lane < lane_total || done || (!publishing && next_slot < dispatch_limit);
+    });
+    if (next_lane < lane_total) {
+      run_lane(lock);
+      continue;
+    }
     if (done) return;
 
     // Claim the lowest unclaimed slot: the arrival queue is FIFO.
@@ -244,6 +264,38 @@ void Pipeline::Impl::worker_main(Problem replica) {
   }
 }
 
+void Pipeline::Impl::run_lane(std::unique_lock<std::mutex>& lock) {
+  const int lane = next_lane++;
+  const Lane& fn = *lane_fn;
+  lock.unlock();
+  fn(lane);  // never throws: fork_join catches per lane
+  lock.lock();
+  if (++lanes_done == lane_total - 1) cv_main.notify_all();
+}
+
+void Pipeline::Impl::fork(int lanes, const Lane& lane) {
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    assert(lane_total == 0 && "one fork at a time");
+    lane_fn = &lane;
+    lane_total = lanes;
+    next_lane = 1;
+    lanes_done = 0;
+  }
+  cv_work.notify_all();
+}
+
+void Pipeline::Impl::join() {
+  std::unique_lock lock(mu);
+  // Lanes no worker has woken up for yet run here, so the publish never
+  // waits on a worker that is slow to wake.
+  while (next_lane < lane_total) run_lane(lock);
+  cv_main.wait(lock, [&] { return lanes_done == lane_total - 1; });
+  lane_fn = nullptr;
+  lane_total = 0;
+  next_lane = 0;
+}
+
 int Pipeline::Impl::publish_epoch(int first) {
   std::unique_lock lock(mu);
   publishing = true;  // block new claims...
@@ -274,14 +326,23 @@ int Pipeline::Impl::publish_epoch(int first) {
       }
     }
     api::ClosureRequest req;
-    req.threads = opt.threads;
+    // Publish on the parked pool (§10): this thread plus every worker.
+    // SolverOptions::threads sizes the sessions' own solves only.
+    req.threads = workers + 1;
+    req.runner = this;
     req.incremental = opt.incremental;
     // Epoch closures are always unbounded: truncated trees cannot be
     // repaired per epoch, and the re-homing fallback queries
     // hub-to-destination rows for arbitrary queued requests.
     req.bounded = false;
     api::SolveReport publish_report;
-    epoch = publisher.publish(stream.master().network, union_hubs, req, publish_report);
+    // The lanes reach the workers through mu; `publishing` still holds
+    // every slot claim back while it is released.
+    lock.unlock();
+    const api::ClosureEpoch published =
+        publisher.publish(stream.master().network, union_hubs, req, publish_report);
+    lock.lock();
+    epoch = published;
     pub_peak_bytes = std::max(pub_peak_bytes, publish_report.closure_bytes);
   }
 

@@ -119,14 +119,14 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
       /*match_targets=*/req.bounded, report,
       [&] {
         closure_.retain(hubs);
-        closure_.refresh(g, deltas_, req.threads, &engine_, &row_changes_);
-        if (!missing_.empty()) closure_.extend(g, missing_, req.threads, &engine_);
+        closure_.refresh(g, deltas_, req.threads, &engine_, &row_changes_, req.runner);
+        if (!missing_.empty()) closure_.extend(g, missing_, req.threads, &engine_, req.runner);
       },
       [&] {
         graph::ClosureScope scope;
         scope.bounded = req.bounded;
         scope.extra_targets = req.settle_targets;
-        closure_.build(g, hubs, req.threads, &engine_, scope);
+        closure_.build(g, hubs, req.threads, &engine_, scope, req.runner);
         valid_ = true;
         sharded_valid_ = false;  // the key storage no longer describes the sharded cache
       });

@@ -37,6 +37,10 @@ class MessageBus;
 class ShardedClosure;
 }  // namespace sofe::dist
 
+namespace sofe::util {
+class LaneRunner;
+}  // namespace sofe::util
+
 namespace sofe::api {
 
 using core::Cost;
@@ -138,7 +142,7 @@ struct SolveReport {
 
 /// Per-acquire parameters of the session closure cache.
 struct ClosureRequest {
-  int threads = 1;           // as in MetricClosure::build
+  int threads = 1;           // lane count, as in MetricClosure::build
   bool incremental = true;   // SolverOptions::incremental
   bool bounded = false;      // SolverOptions::bounded_closure
   /// Extra settle targets of a bounded build (SOFDA passes the
@@ -146,6 +150,12 @@ struct ClosureRequest {
   /// the duration of the acquire call only.
   std::span<const NodeId> settle_targets;
   int retention = 0;  // inert; remove at the next benchmark change
+  /// Where acquire() and publish() run the closure build, extend and
+  /// refresh lanes past the calling thread's (util::fork_join); nullptr
+  /// spawns fresh threads per call.  Non-owning, used during the call
+  /// only; the admission pipeline lends its parked workers here (DESIGN.md
+  /// §10).  acquire_sharded() ignores it.
+  util::LaneRunner* runner = nullptr;
 };
 
 /// A published read-only closure epoch (DESIGN.md §10): the immutable

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <thread>
+
+#include "sofe/util/fork_join.hpp"
 
 namespace sofe::core {
 
@@ -295,32 +296,23 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
   // --- 6. Price: same fixed source striping as price_candidate_chains,
   // so the concatenated buckets reproduce the serial output bit for bit
   // at any thread count. ---
-  const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(srcs.size(), 1));
-  if (assemblers_.size() < workers) assemblers_.resize(workers);
+  const int lanes = util::lane_count(num_threads, srcs.size());
+  if (assemblers_.size() < static_cast<std::size_t>(lanes)) {
+    assemblers_.resize(static_cast<std::size_t>(lanes));
+  }
   std::vector<std::vector<PricedChain>> per_source(srcs.size());
   std::vector<int> per_hits(srcs.size(), 0);
   std::vector<int> per_repriced(srcs.size(), 0);
 
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < srcs.size(); ++i) {
-      price_source(p, closure, srcs[i], buckets_.at(srcs[i]), assemblers_[0], opt,
-                   per_source[i], per_hits[i], per_repriced[i]);
+  if (lanes > 1) p.network.ensure_csr();  // lift queries only read; keep csr() race-free
+  util::fork_join(lanes, nullptr, [&](int lane) {
+    for (auto i = static_cast<std::size_t>(lane); i < srcs.size();
+         i += static_cast<std::size_t>(lanes)) {
+      price_source(p, closure, srcs[i], buckets_.at(srcs[i]),
+                   assemblers_[static_cast<std::size_t>(lane)], opt, per_source[i], per_hits[i],
+                   per_repriced[i]);
     }
-  } else {
-    p.network.ensure_csr();  // lift queries only read; keep csr() race-free
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        for (std::size_t i = w; i < srcs.size(); i += workers) {
-          price_source(p, closure, srcs[i], buckets_.at(srcs[i]), assemblers_[w], opt,
-                       per_source[i], per_hits[i], per_repriced[i]);
-        }
-      });
-    }
-    for (std::thread& th : pool) th.join();
-  }
+  });
 
   std::vector<PricedChain> candidates;
   std::size_t total = 0;

@@ -4,11 +4,11 @@
 #include <cassert>
 #include <map>
 #include <set>
-#include <thread>
 
 #include "sofe/core/pricing.hpp"
 #include "sofe/graph/mst.hpp"
 #include "sofe/steiner/steiner.hpp"
+#include "sofe/util/fork_join.hpp"
 
 namespace sofe::core {
 
@@ -102,29 +102,24 @@ std::vector<PricedChain> price_candidate_chains(const Problem& p,
     }
   };
 
-  const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(srcs.size(), 1));
+  const int lanes = util::lane_count(num_threads, srcs.size());
   std::vector<PricedChain> candidates;
-  if (workers <= 1) {
+  if (lanes <= 1) {
     for (NodeId s : srcs) price_source(s, candidates);
     return candidates;
   }
 
-  // Parallel path: stripe sources over workers; every source writes into its
+  // Parallel path: stripe sources over lanes; every source writes into its
   // own bucket, so concatenating buckets in ascending-source order yields
-  // exactly the serial output.  Workers only read `p`, `vms` and the
+  // exactly the serial output.  Lanes only read `p`, `vms` and the
   // prebuilt closure — plan_chain_walk is pure given those.
   std::vector<std::vector<PricedChain>> per_source(srcs.size());
-  std::vector<std::thread> pool;
-  pool.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    pool.emplace_back([&, w] {
-      for (std::size_t i = w; i < srcs.size(); i += workers) {
-        price_source(srcs[i], per_source[i]);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
+  util::fork_join(lanes, nullptr, [&](int lane) {
+    for (auto i = static_cast<std::size_t>(lane); i < srcs.size();
+         i += static_cast<std::size_t>(lanes)) {
+      price_source(srcs[i], per_source[i]);
+    }
+  });
   std::size_t total = 0;
   for (const auto& bucket : per_source) total += bucket.size();
   candidates.reserve(total);

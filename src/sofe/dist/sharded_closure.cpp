@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <thread>
 #include <unordered_set>
 #include <utility>
+
+#include "sofe/util/fork_join.hpp"
 
 namespace sofe::dist {
 
@@ -193,26 +194,17 @@ void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> h
   stats_.domains = k;
 
   // All k controllers build their local closures in parallel: domains are
-  // striped over min(threads, k) outer workers, each local MetricClosure
-  // build getting the leftover inner threads.  Every worker writes only its
+  // striped over min(threads, k) outer lanes, each local MetricClosure
+  // build getting the leftover inner threads.  Every lane writes only its
   // preassigned DomainState slots, so the result is bit-identical at any
   // thread count (as MetricClosure's own striping already is).
   domains_.clear();
   domains_.resize(static_cast<std::size_t>(k));
-  const int outer = std::max(1, std::min(num_threads, k));
-  if (outer > 1) {
-    const int inner = std::max(1, num_threads / outer);
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<std::size_t>(outer));
-    for (int w = 0; w < outer; ++w) {
-      workers.emplace_back([this, w, k, outer, inner] {
-        for (int d = w; d < k; d += outer) build_domain(d, inner);
-      });
-    }
-    for (auto& t : workers) t.join();
-  } else {
-    for (int d = 0; d < k; ++d) build_domain(d, num_threads);
-  }
+  const int outer = util::lane_count(num_threads, static_cast<std::size_t>(k));
+  const int inner = std::max(1, num_threads / outer);
+  util::fork_join(outer, nullptr, [&](int lane) {
+    for (int d = lane; d < k; d += outer) build_domain(d, inner);
+  });
   for (const auto& ds : domains_) {
     stats_.local_build_seconds_total += ds.build_seconds;
     stats_.local_build_seconds_max = std::max(stats_.local_build_seconds_max, ds.build_seconds);

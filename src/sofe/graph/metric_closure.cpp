@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "sofe/graph/shortest_path_engine.hpp"
+#include "sofe/util/fork_join.hpp"
 
 namespace sofe::graph {
 
@@ -58,7 +58,8 @@ static void derive_sibling_fixups(const TreeRow& row, NodeId v0, EdgeId e0, Node
 }
 
 void MetricClosure::build(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
-                          ShortestPathEngine* engine, ClosureScope scope) {
+                          ShortestPathEngine* engine, ClosureScope scope,
+                          util::LaneRunner* runner) {
   tree_index_.clear();
   bounded_ = scope.bounded;
   settle_targets_.clear();
@@ -69,18 +70,18 @@ void MetricClosure::build(const Graph& g, const std::vector<NodeId>& hubs, int n
     settle_targets_.insert(settle_targets_.end(), scope.extra_targets.begin(),
                            scope.extra_targets.end());
   }
-  build_or_extend(g, hubs, num_threads, engine, /*rebuild=*/true);
+  build_or_extend(g, hubs, num_threads, engine, runner, /*rebuild=*/true);
 }
 
 void MetricClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
-                           ShortestPathEngine* engine) {
+                           ShortestPathEngine* engine, util::LaneRunner* runner) {
   assert(!bounded_ && "bounded closures have a fixed settle scope; rebuild instead");
-  build_or_extend(g, hubs, num_threads, engine, /*rebuild=*/false);
+  build_or_extend(g, hubs, num_threads, engine, runner, /*rebuild=*/false);
 }
 
 void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> deltas,
                             int num_threads, ShortestPathEngine* engine,
-                            std::vector<RowDelta>* changed) {
+                            std::vector<RowDelta>* changed, util::LaneRunner* runner) {
   assert(!bounded_ && "truncated trees cannot be repaired; rebuild instead");
   if (changed != nullptr) changed->clear();
   if (deltas.empty() || rows_.empty()) return;
@@ -217,7 +218,7 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
     dst.gen = write_gen_;
   }
 
-  // Per-repair change records (preassigned slots so the parallel stripes
+  // Per-repair change records (preassigned slots so the parallel lanes
   // write disjoint locations; only filled when the caller wants them).
   struct RepairOutcome {
     bool changed = false;
@@ -236,25 +237,17 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
     out.full = stats.fell_back;
   };
 
-  const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(repairs.size(), 1));
-  if (workers <= 1) {
+  const int lanes = util::lane_count(num_threads, repairs.size());
+  if (lanes > 1) g.ensure_csr();  // the lazy csr() cost refresh is not thread-safe on a miss
+  util::fork_join(lanes, runner, [&](int lane) {
     ShortestPathEngine local;
-    ShortestPathEngine& eng = engine != nullptr ? *engine : local;
+    ShortestPathEngine& eng = lane == 0 && engine != nullptr ? *engine : local;
     eng.attach(g);
-    for (std::size_t ri = 0; ri < repairs.size(); ++ri) repair_one(eng, ri);
-  } else {
-    g.ensure_csr();  // the lazy csr() cost refresh is not thread-safe on a miss
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        ShortestPathEngine worker(g);
-        for (std::size_t ri = w; ri < repairs.size(); ri += workers) repair_one(worker, ri);
-      });
+    for (auto ri = static_cast<std::size_t>(lane); ri < repairs.size();
+         ri += static_cast<std::size_t>(lanes)) {
+      repair_one(eng, ri);
     }
-    for (std::thread& t : pool) t.join();
-  }
+  });
 
   // Directly repaired rows are their own memo (and change report).
   std::vector<std::size_t> slot_outcome(changed != nullptr ? n_slots : 0, SIZE_MAX);
@@ -412,7 +405,8 @@ std::size_t MetricClosure::memory_bytes() const {
 }
 
 void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& hubs,
-                                    int num_threads, ShortestPathEngine* engine, bool rebuild) {
+                                    int num_threads, ShortestPathEngine* engine,
+                                    util::LaneRunner* runner, bool rebuild) {
   ++write_gen_;
   const auto n = static_cast<std::size_t>(g.node_count());
   if (rebuild) {
@@ -529,27 +523,17 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
 
   const std::span<const NodeId> stop = bounded_ ? std::span<const NodeId>(settle_targets_)
                                                 : std::span<const NodeId>{};
-  const std::size_t workers = std::min<std::size_t>(
-      static_cast<std::size_t>(std::max(num_threads, 1)), std::max<std::size_t>(runs.size(), 1));
-  if (workers <= 1) {
+  const int lanes = util::lane_count(num_threads, runs.size());
+  if (lanes > 1) g.ensure_csr();  // the lazy csr() rebuild is not thread-safe on a miss
+  util::fork_join(lanes, runner, [&](int lane) {
     ShortestPathEngine local;
-    ShortestPathEngine& eng = engine != nullptr ? *engine : local;
+    ShortestPathEngine& eng = lane == 0 && engine != nullptr ? *engine : local;
     eng.attach(g);
-    for (const Run& r : runs) eng.run_into(r.root, row_view(r.slot), stop);
-  } else {
-    g.ensure_csr();  // the lazy csr() rebuild is not thread-safe on a miss
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([&, w] {
-        ShortestPathEngine worker(g);
-        for (std::size_t i = w; i < runs.size(); i += workers) {
-          worker.run_into(runs[i].root, row_view(runs[i].slot), stop);
-        }
-      });
+    for (auto i = static_cast<std::size_t>(lane); i < runs.size();
+         i += static_cast<std::size_t>(lanes)) {
+      eng.run_into(runs[i].root, row_view(runs[i].slot), stop);
     }
-    for (std::thread& t : pool) t.join();
-  }
+  });
 
   // Derive every new tap hub from its host's finished image.  Siblings
   // copy the image's idx row BEFORE the image slot is converted to its

@@ -23,6 +23,10 @@
 #include "sofe/graph/dijkstra.hpp"
 #include "sofe/graph/graph.hpp"
 
+namespace sofe::util {
+class LaneRunner;
+}  // namespace sofe::util
+
 namespace sofe::graph {
 
 class ShortestPathEngine;
@@ -69,14 +73,14 @@ class MetricClosure {
   /// per data center plus sources) therefore costs one Dijkstra and one
   /// dist row per *distinct host* rather than one per VM.
   ///
-  /// `num_threads` > 1 runs the full (non-derived) trees in parallel: the
-  /// CSR is prebuilt once (`Graph::ensure_csr`), roots are striped over
-  /// workers in a fixed assignment, and each worker runs its own engine into
-  /// preassigned rows — so the result is bit-identical to the
-  /// single-threaded build for any thread count (tested).  Values < 1 are
-  /// clamped to 1; the thread count is a knob on AlgoOptions
-  /// (closure_threads) and api::SolverOptions (threads) for the solver
-  /// layers.
+  /// `num_threads` > 1 runs the full (non-derived) trees in parallel
+  /// through util::fork_join: the CSR is prebuilt once
+  /// (`Graph::ensure_csr`), roots are striped over lanes in a fixed
+  /// assignment, and each lane runs its own engine into preassigned rows —
+  /// so the result is bit-identical to the single-threaded build for any
+  /// thread count and lane schedule (tested).  Values < 1 are clamped to 1;
+  /// the thread count is a knob on AlgoOptions (closure_threads) and
+  /// api::SolverOptions (threads) for the solver layers.
   MetricClosure(const Graph& g, const std::vector<NodeId>& hubs, int num_threads = 1) {
     build(g, hubs, num_threads);
   }
@@ -98,13 +102,15 @@ class MetricClosure {
   /// store's free lists, so a session that rebuilds after an edge-cost
   /// change (the online simulator's per-arrival price refresh) recomputes
   /// the Dijkstra trees without reallocating their O(hubs · V) arrays.
-  /// When `engine` is given it runs the single-threaded build (persistent
-  /// heap/label workspaces — api::ClosureSession passes its session
-  /// engine); parallel builds use one worker-local engine per thread
-  /// regardless.  `scope` optionally bounds every run to settle-all-hubs
-  /// (see ClosureScope).
+  /// When `engine` is given it runs lane 0, the calling thread's share
+  /// (persistent heap/label workspaces — api::ClosureSession passes its
+  /// session engine); every other lane uses a lane-local engine.  `scope`
+  /// optionally bounds every run to settle-all-hubs (see ClosureScope).
+  /// `runner` runs lanes 1.. (util::fork_join; nullptr: fresh threads) —
+  /// here and in extend() and refresh().
   void build(const Graph& g, const std::vector<NodeId>& hubs, int num_threads = 1,
-             ShortestPathEngine* engine = nullptr, ClosureScope scope = {});
+             ShortestPathEngine* engine = nullptr, ClosureScope scope = {},
+             util::LaneRunner* runner = nullptr);
 
   /// Adds trees for the hubs of `hubs` not yet present, leaving existing
   /// trees untouched — the incremental half of api::ClosureSession: across
@@ -116,7 +122,7 @@ class MetricClosure {
   /// Not available on bounded closures (asserted): their truncation scope
   /// is fixed at build time.
   void extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads = 1,
-              ShortestPathEngine* engine = nullptr);
+              ShortestPathEngine* engine = nullptr, util::LaneRunner* runner = nullptr);
 
   /// Repairs the stored trees in place after the edge-cost mutations in
   /// `deltas` (ShortestPathEngine::repair preconditions apply: the closure
@@ -126,7 +132,7 @@ class MetricClosure {
   /// representative per distinct zero-cost-tap host carries its whole tap
   /// group by re-derivation, so the repair count matches the build's
   /// Dijkstra count rather than the (vms_per_dc times larger) tree count.
-  /// Threading stripes the representative repairs over workers.  Rows
+  /// Threading stripes the representative repairs over lanes.  Rows
   /// living in slabs pinned by a published epoch are relocated (copied)
   /// before the repair writes them — the copy-on-write half of
   /// snapshot_to()'s contract.
@@ -140,7 +146,8 @@ class MetricClosure {
   /// left bitwise untouched are omitted, which is what makes per-arrival
   /// pricing-cache invalidation proportional to the affected rows.
   void refresh(const Graph& g, std::span<const EdgeCostDelta> deltas, int num_threads = 1,
-               ShortestPathEngine* engine = nullptr, std::vector<RowDelta>* changed = nullptr);
+               ShortestPathEngine* engine = nullptr, std::vector<RowDelta>* changed = nullptr,
+               util::LaneRunner* runner = nullptr);
 
   /// Drops every stored tree whose hub is not in `hubs` (kept trees stay
   /// in slot order); freed rows return to the store for recycling.  The
@@ -220,7 +227,7 @@ class MetricClosure {
   };
 
   void build_or_extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
-                       ShortestPathEngine* engine, bool rebuild);
+                       ShortestPathEngine* engine, util::LaneRunner* runner, bool rebuild);
 
   /// Mutable engine view of a slot's row.
   TreeRow row_view(std::size_t slot) {

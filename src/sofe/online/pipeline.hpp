@@ -36,7 +36,10 @@ namespace sofe::online {
 struct PipelineOptions {
   /// Pricing worker threads.  0 = std::thread::hardware_concurrency();
   /// 1 reproduces the sequential driver's schedule with the pipeline's
-  /// machinery (still bit-identical — as is every other count).
+  /// machinery (still bit-identical — as is every other count).  The
+  /// same threads run the epoch's closure publish while they are parked:
+  /// it takes workers + 1 lanes, the commit thread running one of them
+  /// (§10); SolverOptions::threads sizes only each session's own solves.
   int workers = 1;
   int lookahead_epochs = 0;  // inert; remove at the next benchmark change
 };

@@ -1,11 +1,13 @@
 #pragma once
-// Test-side api::Solver fake: a session whose solve() runs a callback, for
+// Test-side api::Solver fakes: a session whose solve() runs a callback, for
 // drivers that need an embedder the registry does not offer — one that
 // returns nothing, checks every arrival, records what it saw, or throws on
-// cue.  Registered under a test-only name it also reaches online::Pipeline,
+// cue — and an epoch-forwarding variant that wraps a real session.
+// Registered under a test-only name they also reach online::Pipeline,
 // which builds its sessions through the registry.
 
 #include <functional>
+#include <memory>
 #include <string_view>
 #include <utility>
 
@@ -29,6 +31,38 @@ class CallbackSolver final : public api::Solver {
 
  private:
   Body body_;
+};
+
+/// Runs `hook` before every solve, then forwards the solve to `inner` —
+/// solve_epoch included, so a wrapped "sofda" session still makes the
+/// pipeline publish closure epochs (and lend their lanes to the workers).
+class EpochForwardingSolver final : public api::Solver {
+ public:
+  EpochForwardingSolver(std::unique_ptr<api::Solver> inner, std::function<void()> hook)
+      : inner_(std::move(inner)), hook_(std::move(hook)) {}
+
+  std::string_view name() const noexcept override { return inner_->name(); }
+  bool wants_epoch_closure() const noexcept override { return inner_->wants_epoch_closure(); }
+
+ protected:
+  core::ServiceForest do_solve(const core::Problem& p, api::SolveReport& report) override {
+    hook_();
+    core::ServiceForest f = inner_->solve(p);
+    report = inner_->report();
+    return f;
+  }
+
+  core::ServiceForest do_solve_epoch(const core::Problem& p, const api::ClosureEpoch& epoch,
+                                     api::SolveReport& report) override {
+    hook_();
+    core::ServiceForest f = inner_->solve_epoch(p, epoch);
+    report = inner_->report();
+    return f;
+  }
+
+ private:
+  std::unique_ptr<api::Solver> inner_;
+  std::function<void()> hook_;
 };
 
 }  // namespace sofe::test

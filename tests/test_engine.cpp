@@ -2,7 +2,7 @@
 // adjacency agreement, workspace-reuse correctness across repeated queries,
 // run_into's stop-target truncation, the multi-source smaller-owner
 // tie-break invariant, path_to edge cases, and bit-identical multi-threaded
-// MetricClosure construction.
+// MetricClosure construction and repair under any lane schedule.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <map>
 #include <vector>
 
+#include "lane_runners.hpp"
 #include "sofe/graph/dijkstra.hpp"
 #include "sofe/graph/metric_closure.hpp"
 #include "sofe/graph/oracles.hpp"
@@ -258,16 +259,21 @@ TEST(MetricClosureThreads, BitIdenticalForAnyThreadCount) {
   hubs.push_back(hubs.front());  // duplicate tolerated
 
   const MetricClosure solo(g, hubs, 1);
-  for (int threads : {2, 3, 8}) {
-    const MetricClosure par(g, hubs, threads);
-    for (NodeId h : hubs) {
-      ASSERT_TRUE(par.is_hub(h));
-      const ShortestPathTree p = par.tree(h).materialize();
-      const ShortestPathTree s = solo.tree(h).materialize();
-      EXPECT_EQ(p.source, s.source);
-      EXPECT_EQ(p.dist, s.dist);          // bitwise doubles
-      EXPECT_EQ(p.parent, s.parent);
-      EXPECT_EQ(p.parent_edge, s.parent_edge);
+  test::ReverseRunner reverse;  // lanes n-1 .. 0, all on this thread
+  for (util::LaneRunner* runner : {static_cast<util::LaneRunner*>(nullptr),
+                                   static_cast<util::LaneRunner*>(&reverse)}) {
+    for (int threads : {2, 3, 8}) {
+      MetricClosure par;
+      par.build(g, hubs, threads, nullptr, {}, runner);
+      for (NodeId h : hubs) {
+        ASSERT_TRUE(par.is_hub(h));
+        const ShortestPathTree p = par.tree(h).materialize();
+        const ShortestPathTree s = solo.tree(h).materialize();
+        EXPECT_EQ(p.source, s.source);
+        EXPECT_EQ(p.dist, s.dist);          // bitwise doubles
+        EXPECT_EQ(p.parent, s.parent);
+        EXPECT_EQ(p.parent_edge, s.parent_edge);
+      }
     }
   }
 }
@@ -671,8 +677,9 @@ TEST(MetricClosureRefresh, RepairedTreesBitIdenticalToRebuild) {
     }
   }
   MetricClosure closure(g, hubs, 1);
+  test::ReverseRunner reverse;  // lanes n-1 .. 0, all on this thread
 
-  for (int round = 0; round < 4; ++round) {
+  for (int round = 0; round < 6; ++round) {
     std::vector<EdgeCostDelta> deltas;
     for (int i = 0; i < 9; ++i) {
       const auto e = static_cast<EdgeId>(rng.index(static_cast<std::size_t>(g.edge_count())));
@@ -685,8 +692,9 @@ TEST(MetricClosureRefresh, RepairedTreesBitIdenticalToRebuild) {
       g.set_edge_cost(e, next);
       deltas.push_back(EdgeCostDelta{e, old_cost, next});
     }
-    const int threads = round % 2 == 0 ? 1 : 4;
-    closure.refresh(g, deltas, threads);
+    // Serial, fresh threads, and the reversed lane schedule in turn.
+    const int threads = round % 3 == 0 ? 1 : 4;
+    closure.refresh(g, deltas, threads, nullptr, nullptr, round % 3 == 2 ? &reverse : nullptr);
     const MetricClosure fresh(g, hubs, 1);
     for (NodeId h : hubs) {
       const ShortestPathTree got = closure.tree(h).materialize();

@@ -1,11 +1,13 @@
 // Epoch-pipelined admission service tests (DESIGN.md §10): worker-count
 // determinism against the sequential driver, including recurring sources
 // and mid-epoch departures, OnlineConfig validation, the price_epoch
-// generation dedup, and fault injection into both drivers.
+// generation dedup, and fault injection into both drivers (throwing and
+// stalling sessions).
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -375,6 +377,38 @@ TEST(PipelineFaults, CallingThreadFaultIsRethrownByBothDrivers) {
     PipelineOptions popt;
     popt.workers = workers;
     EXPECT_THROW(Pipeline(topo, cfg, "test/faulty", {}, popt).run(), InjectedFault);
+  }
+}
+
+// A worker stalls in the middle of an epoch (a slow solve on every fourth
+// arrival) in a session that prices against the published closure epochs:
+// the drain before each publish must wait for the stalled worker, the
+// publish must then lend its lanes to every parked worker, and the series
+// must stay bitwise the sequential driver's.
+TEST(PipelineFaults, StallingWorkerKeepsTheSeriesBitwise) {
+  const auto topo = topology::softlayer();
+  auto cfg = pipeline_config();
+  cfg.epoch_size = 4;
+  const OnlineResult ref = sequential_reference(topo, cfg);
+  for (int workers : {2, 8}) {
+    SCOPED_TRACE("W=" + std::to_string(workers));
+    const auto solves = std::make_shared<std::atomic<int>>(0);
+    api::SolverRegistry::global().add(
+        "test/stalling", "sofda that sleeps on every fourth solve (test only)",
+        [solves](const api::SolverOptions& opt) {
+          return std::make_unique<test::EpochForwardingSolver>(
+              api::make_solver("sofda", opt), [solves] {
+                if (solves->fetch_add(1) % 4 == 3) {
+                  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                }
+              });
+        });
+    PipelineOptions popt;
+    popt.workers = workers;
+    const OnlineResult got = Pipeline(topo, cfg, "test/stalling", {}, popt).run();
+    expect_series_identical(got, ref);
+    EXPECT_GT(got.peak_closure_bytes, 0u);  // the epochs were published
+    EXPECT_EQ(solves->load(), cfg.requests);
   }
 }
 
