@@ -6,16 +6,19 @@
 //
 // Pipeline threads: N worker threads plus the caller of run(), which
 // serves as both epoch publisher and commit stage.  One mutex guards all
-// shared state; workers claim queued slots, price them OUTSIDE the lock
+// shared state; workers claim queued slots, solve them OUTSIDE the lock
 // against private Problem replicas (synced once per epoch from the
-// published EdgeCostDelta batch) and the shared read-only closure epoch,
-// and post results back.  The publisher mutates shared state (master
-// Problem, ledger, publisher closure) only while every worker is parked —
-// the `publishing` flag blocks new claims and the `active` counter drains
-// in-flight solves — so the snapshot workers read is immutable by
-// construction, not by convention.  While parked, the workers are the
-// publisher's util::LaneRunner: the closure publish runs on N + 1 lanes,
-// lane 0 on the publisher and one posted lane per woken worker.
+// published EdgeCostDelta batch), the shared read-only closure epoch and
+// the epoch's priced chains, and post results back.  The publisher
+// mutates shared state (master Problem, ledger, publisher closure and
+// pricing table) only while every worker is parked — the `publishing`
+// flag blocks new claims and the `active` counter drains in-flight solves
+// — so the snapshot workers read is immutable by construction, not by
+// convention.  While parked, the workers are the publisher's
+// util::LaneRunner: the closure publish and the epoch's pricing each run
+// on N + 1 lanes, lane 0 on the publisher and one posted lane per woken
+// worker.  Every source of the epoch is priced once there, so no two
+// workers price the same chain (DESIGN.md §10).
 //
 // Determinism: slots commit in arrival order against the same epoch
 // snapshots the sequential driver uses, and every number that enters the
@@ -164,10 +167,12 @@ struct Pipeline::Impl final : util::LaneRunner {
   std::deque<Payload> payloads;
 
   // The published closure epoch, copied by workers at claim time.  Only
-  // meaningful when use_epoch (the solver family prices against shared
-  // closures); rewritten by the publisher while quiesced.
+  // meaningful when use_epoch (the solver family solves against shared
+  // closures); rewritten by the publisher while quiesced.  With
+  // price_epochs it also carries the publisher's pricing table.
   api::ClosureEpoch epoch;
   bool use_epoch = false;
+  bool price_epochs = false;  // use_epoch, incremental_pricing and |C| >= 1
 
   struct Slot {
     bool ready = false;
@@ -179,9 +184,14 @@ struct Pipeline::Impl final : util::LaneRunner {
   std::vector<Slot> slots;
   SteadyClock::time_point opened_at;  // when the open epoch's slots became claimable
 
-  // Publisher-side scratch (driver thread only).
+  // Publisher-side state (driver thread only).  `pricing` sees each
+  // epoch's closure update exactly once, right after the publish.
   api::ClosureSession publisher;
+  core::PricingSession pricing;
+  core::AlgoOptions price_opt;       // the solver family's own pricing knobs
+  core::PricingTally epoch_tally;    // the open epoch's pricing, for the sink
   std::vector<core::NodeId> union_hubs;
+  std::vector<core::NodeId> union_sources;
   std::vector<std::uint8_t> hub_mark;
 
   // Diagnostics folded into OnlineResult (driver thread only).
@@ -312,17 +322,20 @@ int Pipeline::Impl::publish_epoch(int first) {
 
   if (use_epoch) {
     // Union hubs over the open epoch: the VMs plus every source any worker
-    // may price before the next publish.  Extras are invisible to queries
-    // (§8), so one closure serves every slot of the epoch bitwise.
+    // may solve for before the next publish.  Extras are invisible to
+    // queries (§8), so one closure serves every slot of the epoch bitwise.
     union_hubs = stream.master().vms();
+    union_sources.clear();
+    for (int r = first; r < first + count; ++r) {
+      const auto& sources = stream.request(r).sources;
+      union_sources.insert(union_sources.end(), sources.begin(), sources.end());
+    }
     hub_mark.assign(static_cast<std::size_t>(stream.master().network.node_count()), 0);
     for (core::NodeId vm : union_hubs) hub_mark[static_cast<std::size_t>(vm)] = 1;
-    for (int r = first; r < first + count; ++r) {
-      for (core::NodeId s : stream.request(r).sources) {
-        if (!hub_mark[static_cast<std::size_t>(s)]) {
-          hub_mark[static_cast<std::size_t>(s)] = 1;
-          union_hubs.push_back(s);
-        }
+    for (core::NodeId s : union_sources) {
+      if (!hub_mark[static_cast<std::size_t>(s)]) {
+        hub_mark[static_cast<std::size_t>(s)] = 1;
+        union_hubs.push_back(s);
       }
     }
     api::ClosureRequest req;
@@ -339,8 +352,19 @@ int Pipeline::Impl::publish_epoch(int first) {
     // The lanes reach the workers through mu; `publishing` still holds
     // every slot claim back while it is released.
     lock.unlock();
-    const api::ClosureEpoch published =
+    api::ClosureEpoch published =
         publisher.publish(stream.master().network, union_hubs, req, publish_report);
+    if (price_epochs) {
+      // Price once per epoch (§10): every source of the epoch against the
+      // published closure, applying its update exactly once, on the same
+      // lanes.  A chain plan is a pure function of the snapshot, the source
+      // and the last VM, so the workers' reads are bitwise what they would
+      // have priced.  Staging the first slot makes the master a
+      // well-formed problem; commit_epoch re-stages every slot it reads.
+      (void)pricing.price(stream.stage(first), *published.closure, union_sources,
+                          published.update, price_opt, workers + 1, &epoch_tally, this);
+      published.pricing = &pricing;
+    }
     lock.lock();
     epoch = published;
     pub_peak_bytes = std::max(pub_peak_bytes, publish_report.closure_bytes);
@@ -361,6 +385,7 @@ void Pipeline::Impl::serve(OnlineResult& result) {
     const util::Stopwatch publish_watch;
     const int count = publish_epoch(first);
     result.publish_seconds += publish_watch.seconds();
+    if (sink != nullptr && price_epochs) sink->add_pricing(epoch_tally);
 
     // Collect the whole epoch's results (in arrival order), then commit
     // the batch through the same ArrivalStream::commit_epoch the sequential
@@ -413,13 +438,17 @@ OnlineResult Pipeline::Impl::run() {
   const int total = stream.requests();
   slots.resize(static_cast<std::size_t>(total));
 
-  // Probe the registry once for the family's name and closure appetite;
+  // Probe the registry once for the family's name, closure appetite and
+  // pricing knobs (a family may override the caller's stroll oracle);
   // workers build their own sessions.
   OnlineResult result;
   {
     const auto probe = api::make_solver(solver_name, opt);
     result.algorithm = std::string(probe->name());
     use_epoch = probe->wants_epoch_closure();
+    price_epochs = use_epoch && probe->options().incremental_pricing &&
+                   stream.master().chain_length >= 1;
+    price_opt = probe->options().algo();
   }
   result.workers = workers;
   result.epoch_size = stream.epoch_size();

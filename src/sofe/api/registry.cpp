@@ -20,7 +20,8 @@ namespace {
 /// the free function), pricing fans out over SolverOptions::threads, and —
 /// with SolverOptions::incremental_pricing — the PricedChain cache rides
 /// the closure session's change stream so a repaired arrival re-prices
-/// only the touched chains (DESIGN.md §9).
+/// only the touched chains (DESIGN.md §9).  solve_epoch reads the
+/// publisher's priced chains instead and touches neither cache (§10).
 class SofdaSolver final : public Solver {
  public:
   SofdaSolver(SolverOptions opt, std::string name) : Solver(opt), name_(std::move(name)) {}
@@ -47,19 +48,19 @@ class SofdaSolver final : public Solver {
     // destinations complete the settle scope of a bounded closure.
     req.settle_targets = p.destinations;
     const auto& closure = session_.acquire(p.network, hubs, req, r);
-    if (epoch_priced_) {
-      // The cache is keyed to a published epoch closure, whose changes are
-      // not in this session's own update stream: restart cold.
+    if (!opt_.incremental_pricing) {
+      // Closure changes now go unobserved: restart the cache cold if the
+      // knob is ever flipped back on.
       pricing_.invalidate();
-      epoch_priced_ = false;
     }
-    return price_and_solve(p, closure, r, [&](core::PricingTally& tally) {
+    const auto price_cached = [&](core::PricingTally& tally) {
       // The pricing cache must observe every closure change exactly once;
       // acquire() just ran, so last_update() is this solve's delta.
       const core::ClosureUpdate update = session_.last_update();
       return core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads,
                                           &pricing_, &update, &tally);
-    });
+    };
+    return price_and_solve(p, closure, opt_.incremental_pricing, r, price_cached);
   }
 
   ServiceForest do_solve_epoch(const Problem& p, const ClosureEpoch& epoch,
@@ -79,35 +80,31 @@ class SofdaSolver final : public Solver {
     r.closure_hubs = static_cast<int>(closure.hub_count());
     r.closure_cache_hit = epoch.update.kind == core::ClosureUpdate::Kind::kUnchanged;
     r.closure_repaired = epoch.update.kind == core::ClosureUpdate::Kind::kRepaired;
-    return price_and_solve(p, closure, r, [&](core::PricingTally& tally) {
-      // Fork-from-epoch pricing (DESIGN.md §10): the epoch's one update
-      // reaches every worker; price_epoch dedups it by generation.
-      epoch_priced_ = true;
-      return pricing_.price_epoch(p, closure, p.sources, epoch.generation, epoch.update,
-                                  opt_.algo(), opt_.threads, &tally);
+    const bool cached = opt_.incremental_pricing && epoch.pricing != nullptr;
+    return price_and_solve(p, closure, cached, r, [&](core::PricingTally&) {
+      // Priced once per epoch by the publisher (DESIGN.md §10): this solve
+      // only reads its sources' chains and re-prices nothing.
+      return epoch.pricing->chains(p.sources);
     });
   }
 
  private:
   /// The tail both entry points share: price the candidate chains against
-  /// `closure` — through `price_cached`, the caller's feed of the
-  /// repair-aware cache, unless incremental_pricing is off — then run
-  /// sofda_from_candidates over them.
+  /// `closure` — through `price_cached`, the caller's cached feed, when
+  /// `cached`, else from scratch — then run sofda_from_candidates over
+  /// them.
   template <typename PriceCachedFn>
   ServiceForest price_and_solve(const Problem& p, const graph::MetricClosure& closure,
-                                SolveReport& r, const PriceCachedFn& price_cached) {
+                                bool cached, SolveReport& r, const PriceCachedFn& price_cached) {
     util::Stopwatch watch;
     std::vector<core::PricedChain> candidates;
-    if (opt_.incremental_pricing) {
+    if (cached) {
       core::PricingTally tally;
       candidates = price_cached(tally);
       r.pricing_hits = tally.hits;
       r.pricing_repriced = tally.repriced;
       r.pricing_flushed = tally.flushed;
     } else {
-      // Closure changes now go unobserved: restart the cache cold if the
-      // knob is ever flipped back on.
-      pricing_.invalidate();
       candidates = core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads);
     }
     r.pricing_seconds = watch.seconds();
@@ -120,7 +117,6 @@ class SofdaSolver final : public Solver {
   std::string name_;
   ClosureSession session_;
   core::PricingSession pricing_;
-  bool epoch_priced_ = false;  // pricing cache keyed to an epoch closure
 };
 
 /// SOFDA-SS session over p.sources.front(); the closure over

@@ -48,6 +48,15 @@ class ReportAccumulator {
     peak_closure_bytes_ = std::max(peak_closure_bytes_, r.closure_bytes);
   }
 
+  /// Folds in pricing done outside any solve: online::Pipeline prices each
+  /// epoch's sources once on its publisher (DESIGN.md §10), and its commit
+  /// stage adds that call's tally here once per epoch.
+  void add_pricing(const core::PricingTally& t) {
+    pricing_hits_ += static_cast<std::size_t>(t.hits);
+    pricing_repriced_ += static_cast<std::size_t>(t.repriced);
+    if (t.flushed) ++pricing_flushes_;
+  }
+
   /// Pipeline phases (DESIGN.md §10), sampled by online::Pipeline's commit
   /// stage rather than by solvers: how long an arrival sat claimable in
   /// the queue before a worker picked it up, and its share of the epoch's
@@ -69,11 +78,14 @@ class ReportAccumulator {
   std::size_t rebuilds() const noexcept { return solves() - cache_hits_ - repairs_; }
   /// Solves that returned an empty forest.
   std::size_t infeasible() const noexcept { return infeasible_; }
-  /// Chains served from the pricing cache across all solves (DESIGN.md §9).
+  /// Chains served from the pricing cache across all solves and epoch
+  /// pricings (DESIGN.md §9).
   std::size_t pricing_hits() const noexcept { return pricing_hits_; }
-  /// Chains re-priced across all solves (cold, invalidated, or flushed).
+  /// Chains re-priced across all solves and epoch pricings (cold,
+  /// invalidated, or flushed).
   std::size_t pricing_repriced() const noexcept { return pricing_repriced_; }
-  /// Solves on which the pricing cache dropped every cached chain.
+  /// Solves and epoch pricings on which the pricing cache dropped every
+  /// cached chain.
   std::size_t pricing_flushes() const noexcept { return pricing_flushes_; }
   /// Largest per-solve closure slab footprint seen (closure_bytes max;
   /// DESIGN.md §13).

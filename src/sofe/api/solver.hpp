@@ -159,7 +159,7 @@ struct ClosureRequest {
 };
 
 /// A published read-only closure epoch (DESIGN.md §10): the immutable
-/// snapshot handle the admission pipeline's worker sessions price against.
+/// snapshot handle the admission pipeline's worker sessions solve against.
 /// Produced by ClosureSession::publish, consumed by Solver::solve_epoch.
 /// The closure pointer and the update spans stay valid — and safe for any
 /// number of concurrent readers — until the publishing session's retire().
@@ -168,10 +168,19 @@ struct ClosureEpoch {
   /// The snapshot advance from the previous epoch to this one, in the
   /// shape core::PricingSession consumes: what publish()'s acquire did.
   core::ClosureUpdate update;
-  /// Monotone per-publisher epoch counter (1 = first publish).  Workers
-  /// feed it to PricingSession::price_epoch, which dedups the update by
-  /// generation and flushes on gaps.
+  /// Monotone per-publisher epoch counter (1 = first publish), for
+  /// PricingSession::price_epoch, which dedups the update by generation
+  /// and flushes on gaps.  Only the benchmark's per-slot replay reads it;
+  /// the admission pipeline prices once per epoch (`pricing`).
   std::uint64_t generation = 0;
+  /// The epoch's priced chains: a session that priced every source of the
+  /// epoch against `closure` with `update`, read through
+  /// PricingSession::chains.  Non-owning and read-only; the admission
+  /// pipeline sets it after publish() and keeps it valid until its next
+  /// publish.  nullptr when nothing was priced (publish() itself, and a
+  /// pipeline whose sessions run with incremental_pricing off): solvers
+  /// then price from scratch against `closure`.
+  const core::PricingSession* pricing = nullptr;
 };
 
 /// Session-scoped MetricClosure cache shared by the concrete solvers.
@@ -342,16 +351,19 @@ class Solver {
 
   /// Embeds one instance against a published closure epoch (DESIGN.md
   /// §10): instead of maintaining its own ClosureSession, the solver
-  /// prices against `epoch.closure` — shared, read-only, covering every
-  /// hub the instance needs — and keys its caches to `epoch.generation`.
-  /// Results are bit-identical to solve() on the same problem (the epoch
-  /// is a cache, never an input).  Solvers that don't consume shared
-  /// closures (wants_epoch_closure() == false) fall back to solve()
-  /// semantics; callers may then skip publishing entirely.
+  /// solves against `epoch.closure` — shared, read-only, covering every
+  /// hub the instance needs — and reads its candidate chains from
+  /// `epoch.pricing` when the epoch carries a table (else it prices them
+  /// from scratch against the closure).  The session's own caches are
+  /// left untouched.  Results are bit-identical to solve() on the same
+  /// problem (the epoch is a cache, never an input).  Solvers that don't
+  /// consume shared closures (wants_epoch_closure() == false) fall back
+  /// to solve() semantics; callers may then skip publishing entirely.
   ServiceForest solve_epoch(const Problem& p, const ClosureEpoch& epoch);
 
-  /// Whether solve_epoch actually reads the published closure.  The
-  /// pipeline skips the per-epoch publish when no worker would use it.
+  /// Whether solve_epoch actually reads the published closure and its
+  /// priced chains.  The pipeline skips the per-epoch publish and pricing
+  /// when no worker would use them.
   virtual bool wants_epoch_closure() const noexcept { return false; }
 
   const SolveReport& report() const noexcept { return report_; }
@@ -374,8 +386,8 @@ class Solver {
 
   /// The epoch-mode body.  The default ignores the epoch and runs
   /// do_solve — correct for every solver (epochs are caches), merely
-  /// missing the sharing; SofdaSolver overrides it to price against the
-  /// published closure.
+  /// missing the sharing; SofdaSolver overrides it to solve against the
+  /// published closure and the epoch's priced chains.
   virtual ServiceForest do_solve_epoch(const Problem& p, const ClosureEpoch& epoch,
                                        SolveReport& report) {
     (void)epoch;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 #include "sofe/util/fork_join.hpp"
 
@@ -193,7 +195,7 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
                                                const std::vector<NodeId>& sources,
                                                const ClosureUpdate& update,
                                                const AlgoOptions& opt, int num_threads,
-                                               PricingTally* tally) {
+                                               PricingTally* tally, util::LaneRunner* runner) {
   assert(p.well_formed());
   assert(p.chain_length >= 1 && "multicast-only problems have no chains to price");
   // A direct price() call leaves epoch mode: the caller's own update
@@ -305,7 +307,7 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
   std::vector<int> per_repriced(srcs.size(), 0);
 
   if (lanes > 1) p.network.ensure_csr();  // lift queries only read; keep csr() race-free
-  util::fork_join(lanes, nullptr, [&](int lane) {
+  util::fork_join(lanes, runner, [&](int lane) {
     for (auto i = static_cast<std::size_t>(lane); i < srcs.size();
          i += static_cast<std::size_t>(lanes)) {
       price_source(p, closure, srcs[i], buckets_.at(srcs[i]),
@@ -324,6 +326,35 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
     t.repriced += per_repriced[i];
   }
   return candidates;
+}
+
+std::vector<PricedChain> PricingSession::chains(const std::vector<NodeId>& sources) const {
+  // Mirrors price_source's output loop over the cached outcomes, and
+  // refuses what price_source would have re-priced: serving such an entry
+  // would hand out a chain priced against some older closure.
+  const std::vector<NodeId> srcs = sorted_unique(sources);
+  std::vector<PricedChain> out;
+  out.reserve(srcs.size() * key_vms_.size());
+  for (NodeId s : srcs) {
+    const auto it = buckets_.find(s);
+    if (it == buckets_.end()) {
+      throw std::logic_error("PricingSession::chains: source " + std::to_string(s) +
+                             " was not priced");
+    }
+    assert(it->second.entries.size() == key_vms_.size() && "a key change clears every bucket");
+    for (std::size_t j = 0; j < key_vms_.size(); ++j) {
+      const NodeId u = key_vms_[j];
+      if (u == s) continue;
+      const Entry& e = it->second.entries[j];
+      if (e.state == Entry::State::kUnknown) {
+        throw std::logic_error("PricingSession::chains: the chain from source " +
+                               std::to_string(s) + " to VM " + std::to_string(u) +
+                               " was invalidated since it was priced");
+      }
+      if (e.state == Entry::State::kFeasible) out.push_back(PricedChain{s, u, e.plan});
+    }
+  }
+  return out;
 }
 
 std::vector<PricedChain> PricingSession::price_epoch(const Problem& p,

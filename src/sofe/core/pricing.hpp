@@ -43,6 +43,10 @@
 #include "sofe/graph/metric_closure.hpp"
 #include "sofe/kstroll/pricing.hpp"
 
+namespace sofe::util {
+class LaneRunner;
+}  // namespace sofe::util
+
 namespace sofe::core {
 
 /// What happened to the metric closure since the previous price() call on
@@ -77,33 +81,51 @@ struct PricingTally {
 
 /// Session-scoped PricedChain cache.  One PricingSession serves one
 /// logical stream of Problems whose closure is maintained by one
-/// ClosureSession (api::SofdaSolver owns exactly that pair); price() must
-/// see every closure change exactly once via `update`.  Sessions are
-/// single-threaded objects; `num_threads` parallelism happens inside a
-/// price() call and is bit-identical to serial (per-source buckets,
-/// fixed striping — the same scheme as core::price_candidate_chains).
+/// ClosureSession (api::SofdaSolver owns exactly that pair, and the
+/// admission pipeline's publisher another); price() must see every closure
+/// change exactly once via `update`.  Sessions are single-writer objects;
+/// `num_threads` parallelism happens inside a price() call and is
+/// bit-identical to serial (per-source buckets, fixed striping — the same
+/// scheme as core::price_candidate_chains).  Between price() calls any
+/// number of threads may read the table through chains().
 class PricingSession {
  public:
   /// Drop-in replacement for core::price_candidate_chains (same canonical
   /// (source, last_vm) output order, bitwise-identical plans): serves
   /// cached chains that survived `update`, re-prices the rest.  Requires
   /// p.chain_length >= 1 and closure trees for every VM and every source.
+  /// Lanes past the caller's run on `runner` when one is given, else on
+  /// fresh threads (util::fork_join); the admission pipeline lends its
+  /// parked workers here (DESIGN.md §10).
   std::vector<PricedChain> price(const Problem& p, const graph::MetricClosure& closure,
                                  const std::vector<NodeId>& sources, const ClosureUpdate& update,
                                  const AlgoOptions& opt, int num_threads = 1,
-                                 PricingTally* tally = nullptr);
+                                 PricingTally* tally = nullptr,
+                                 util::LaneRunner* runner = nullptr);
 
-  /// Fork-from-epoch mode (DESIGN.md §10): N worker sessions price against
-  /// ONE publisher-maintained closure whose change stream arrives once per
-  /// epoch as (generation, update) — api::ClosureEpoch.  A session must
-  /// see every closure change exactly once, but an epoch's update reaches
-  /// every worker that prices during it; this entry point dedups by
-  /// generation so each worker applies each epoch's movement once:
+  /// The table as the last price() left it, read-only: for every source in
+  /// `sources`, bitwise what that price() returned for it (same canonical
+  /// order).  Safe for any number of concurrent readers while no price()
+  /// runs — the pipeline's workers read the publisher's epoch table this
+  /// way (DESIGN.md §10).  Throws std::logic_error for a source whose
+  /// bucket is missing (never priced, or evicted) or holds an entry the
+  /// cache no longer knows (invalidated by a later price() that did not
+  /// name the source).
+  std::vector<PricedChain> chains(const std::vector<NodeId>& sources) const;
+
+  /// Per-slot fork-from-epoch mode, kept for the benchmark's
+  /// single-threaded replay (the admission pipeline prices once per epoch
+  /// on its publisher's session instead, DESIGN.md §10): slots price
+  /// against ONE publisher-maintained closure whose change stream arrives
+  /// once per epoch as (generation, update) — api::ClosureEpoch.  A
+  /// session must see every closure change exactly once, but an epoch's
+  /// update reaches every slot priced during it; this entry point dedups
+  /// by generation so each epoch's movement is applied once:
   ///   * same generation as the previous call  -> the closure is bitwise
   ///     the one already observed: unchanged();
   ///   * exactly the next generation           -> `update` describes the
   ///     one-step advance: apply it;
-  ///   * a gap, or the session's first epoch   -> this worker missed at
+  ///   * a gap, or the session's first epoch   -> this session missed at
   ///     least one epoch's row deltas (it priced nothing that epoch):
   ///     flush — sound, never fast.
   /// Mixing price() and price_epoch() on one session re-keys the cache to

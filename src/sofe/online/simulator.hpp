@@ -111,13 +111,16 @@ struct OnlineResult {
   /// departures/rejections only subtract (asserted in test_admission's
   /// fuzz suite and by the stream itself in debug builds).
   std::size_t overloaded_links = 0;
-  int workers = 1;     // echo: pricing workers (1 = the sequential driver)
+  int workers = 1;     // echo: solver workers (1 = the sequential driver)
   int epoch_size = 1;  // echo: OnlineConfig::epoch_size
   // Pipeline-only diagnostics, timing-dependent and so excluded from every
   // determinism comparison; the cost series above never varies.
   int stale_repriced = 0;       // inert, always 0; remove at the next benchmark change
   int speculative_commits = 0;  // inert, always 0; remove at the next benchmark change
-  double publish_seconds = 0.0; // commit-thread wall spent publishing epochs
+  /// Commit-thread wall spent publishing epochs: the closure publish
+  /// plus, for SOFDA families with incremental_pricing, the epoch's chain
+  /// pricing (DESIGN.md §10).
+  double publish_seconds = 0.0;
   /// Peak slab footprint of the publisher's closure over every epoch
   /// publish (DESIGN.md §13).  Zero for the sequential driver (its
   /// per-solve footprint lives on the solver's ReportAccumulator) and for

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <set>
+#include <numeric>
 
 #include "sofe/costmodel/fortz_thorup.hpp"
 #include "sofe/graph/dsu.hpp"
@@ -28,6 +28,13 @@ double dist(const City& a, const City& b) {
 
 /// Builds a connected geographic mesh: Euclidean MST + the shortest extra
 /// links until `links` edges exist.  Deterministic.
+///
+/// Pairs are taken in (length, u, v) order, which is the stable order by
+/// length because they are generated in (u, v) order.  No pair longer than
+/// the MST's longest edge can join two components, so Kruskal runs on that
+/// prefix only (one O(n^2) Prim pass finds the bound), and the longer pairs
+/// are sorted only if the fill pass reaches them.  Building the Cogent mesh
+/// is part of every online run's set-up.
 Topology geographic_mesh(std::string name, const std::vector<City>& cities, int links) {
   const int n = static_cast<int>(cities.size());
   Topology t;
@@ -36,37 +43,70 @@ Topology geographic_mesh(std::string name, const std::vector<City>& cities, int 
   for (NodeId v = 0; v < n; ++v) {
     if (cities[static_cast<std::size_t>(v)].dc) t.dc_nodes.push_back(v);
   }
+  const auto length = [&cities](NodeId u, NodeId v) {  // u < v
+    return dist(cities[static_cast<std::size_t>(u)], cities[static_cast<std::size_t>(v)]);
+  };
+
+  // Prim over the complete graph: the longest MST edge.  Every MST has the
+  // same edge lengths, so it is also where Kruskal makes its last union.
+  double longest = 0.0;
+  {
+    std::vector<NodeId> outside(static_cast<std::size_t>(n));
+    std::iota(outside.begin(), outside.end(), NodeId{0});
+    std::vector<double> reach(static_cast<std::size_t>(n), graph::kInfiniteCost);
+    reach[0] = 0.0;
+    while (!outside.empty()) {
+      std::size_t next = 0;
+      for (std::size_t k = 1; k < outside.size(); ++k) {
+        if (reach[static_cast<std::size_t>(outside[k])] <
+            reach[static_cast<std::size_t>(outside[next])]) {
+          next = k;
+        }
+      }
+      const NodeId u = outside[next];
+      outside[next] = outside.back();
+      outside.pop_back();
+      longest = std::max(longest, reach[static_cast<std::size_t>(u)]);
+      for (NodeId v : outside) {
+        double& r = reach[static_cast<std::size_t>(v)];
+        r = std::min(r, length(std::min(u, v), std::max(u, v)));
+      }
+    }
+  }
 
   struct Cand {
     double d;
     NodeId u, v;
   };
+  const auto before = [](const Cand& a, const Cand& b) {
+    if (a.d != b.d) return a.d < b.d;
+    return a.u != b.u ? a.u < b.u : a.v < b.v;
+  };
   std::vector<Cand> cands;
+  cands.reserve(static_cast<std::size_t>(n) * static_cast<std::size_t>(n - 1) / 2);
   for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = u + 1; v < n; ++v) {
-      cands.push_back({dist(cities[static_cast<std::size_t>(u)],
-                            cities[static_cast<std::size_t>(v)]),
-                       u, v});
-    }
+    for (NodeId v = u + 1; v < n; ++v) cands.push_back({length(u, v), u, v});
   }
-  std::stable_sort(cands.begin(), cands.end(),
-                   [](const Cand& a, const Cand& b) { return a.d < b.d; });
+  const auto rest = std::partition(cands.begin(), cands.end(),
+                                   [longest](const Cand& c) { return c.d <= longest; });
+  std::sort(cands.begin(), rest, before);
+  const auto prefix = static_cast<std::size_t>(rest - cands.begin());
 
   graph::DisjointSetUnion dsu(static_cast<std::size_t>(n));
-  std::set<std::pair<NodeId, NodeId>> present;
+  std::vector<char> in_mst(prefix, 0);
   // Kruskal pass for connectivity.
-  for (const Cand& c : cands) {
+  for (std::size_t i = 0; i < prefix; ++i) {
+    const Cand& c = cands[i];
     if (dsu.unite(static_cast<std::size_t>(c.u), static_cast<std::size_t>(c.v))) {
       t.g.add_edge(c.u, c.v, c.d);
-      present.insert({c.u, c.v});
+      in_mst[i] = 1;
     }
   }
   // Fill in the shortest remaining pairs up to the link budget.
-  for (const Cand& c : cands) {
-    if (t.g.edge_count() >= links) break;
-    if (present.contains({c.u, c.v})) continue;
-    t.g.add_edge(c.u, c.v, c.d);
-    present.insert({c.u, c.v});
+  for (std::size_t i = 0; i < cands.size() && t.g.edge_count() < links; ++i) {
+    if (i == prefix) std::sort(rest, cands.end(), before);
+    if (i < prefix && in_mst[i]) continue;
+    t.g.add_edge(cands[i].u, cands[i].v, cands[i].d);
   }
   assert(t.g.edge_count() == links);
   assert(graph::is_connected(t.g));

@@ -35,11 +35,12 @@ class CallbackSolver final : public api::Solver {
 
 /// Runs `hook` before every solve, then forwards the solve to `inner` —
 /// solve_epoch included, so a wrapped "sofda" session still makes the
-/// pipeline publish closure epochs (and lend their lanes to the workers).
+/// pipeline publish and price closure epochs (and lend their lanes to the
+/// workers).  It reports `inner`'s options, which the pipeline prices by.
 class EpochForwardingSolver final : public api::Solver {
  public:
   EpochForwardingSolver(std::unique_ptr<api::Solver> inner, std::function<void()> hook)
-      : inner_(std::move(inner)), hook_(std::move(hook)) {}
+      : api::Solver(inner->options()), inner_(std::move(inner)), hook_(std::move(hook)) {}
 
   std::string_view name() const noexcept override { return inner_->name(); }
   bool wants_epoch_closure() const noexcept override { return inner_->wants_epoch_closure(); }

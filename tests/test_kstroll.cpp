@@ -3,13 +3,16 @@
 // Appendix-D source-cost variant, and the repair-aware pricing machinery
 // (DESIGN.md §9): shared-block instance assembly bitwise vs the per-pair
 // builder, and the PricingSession's cache hit/invalidate semantics across
-// repair vs rebuild vs extend, departure cost restores, thread counts, and
-// the equal-cost parent-flip traps.
+// repair vs rebuild vs extend, departure cost restores, thread counts and
+// lent lane runners, the equal-cost parent-flip traps, and the read-only
+// chains() view of the table.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
+#include "lane_runners.hpp"
 #include "sofe/core/pricing.hpp"
 #include "sofe/core/sofda.hpp"
 #include "sofe/graph/shortest_path_engine.hpp"
@@ -451,6 +454,29 @@ TEST(PricingSession, BitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(chains_equal(cold[0], cold[2]));
   EXPECT_TRUE(chains_equal(cold[0], core::price_candidate_chains(p, mc, p.sources)));
 
+  // One more input, the admission pipeline's shape: the union of the
+  // sources priced once at 3 lanes on a lent runner (lanes in reverse on
+  // the caller, or on parked pool threads), then subsets read back through
+  // chains() — each bitwise the free function on that subset.
+  test::ReverseRunner reverse;
+  test::PooledRunner pooled(2);
+  util::LaneRunner* const runners[] = {&reverse, &pooled};
+  core::PricingSession lent[2];
+  const std::vector<NodeId> subsets[] = {{8, 0}, {16, 4, 12}};
+  const auto price_lent = [&](const core::ClosureUpdate& update,
+                              const std::vector<core::PricedChain>& whole) {
+    for (int i = 0; i < 2; ++i) {
+      SCOPED_TRACE(i == 0 ? "reverse runner" : "pooled runner");
+      EXPECT_TRUE(chains_equal(lent[i].price(p, mc, p.sources, update, {}, 3, nullptr, runners[i]),
+                               whole));
+      for (const auto& subset : subsets) {
+        EXPECT_TRUE(chains_equal(lent[i].chains(subset),
+                                 core::price_candidate_chains(p, mc, subset)));
+      }
+    }
+  };
+  price_lent(core::ClosureUpdate::rebuilt(), cold[0]);
+
   std::vector<graph::EdgeCostDelta> deltas;
   for (core::EdgeId e : {0, 3, 7, 15}) {
     const Cost old_cost = p.network.edge(e).cost;
@@ -471,6 +497,30 @@ TEST(PricingSession, BitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(chains_equal(warm[0], warm[1]));
   EXPECT_TRUE(chains_equal(warm[0], warm[2]));
   EXPECT_TRUE(chains_equal(warm[0], core::price_candidate_chains(p, mc, p.sources)));
+  price_lent(update, warm[0]);
+}
+
+// chains() serves only what the last price() left known: a source that
+// was never priced throws, and so does one whose bucket survived a later
+// price() that invalidated part of it without re-pricing it.
+TEST(PricingSession, ChainsThrowsForUnpricedOrInvalidatedSources) {
+  Fixture f = random_fixture(4242, 24, 6);
+  auto p = problem_for(f, {0, 5}, 1);
+  const auto mc = closure_for_problem(p);
+
+  core::PricingSession session;
+  (void)session.price(p, mc, p.sources, core::ClosureUpdate::rebuilt(), {});
+  EXPECT_TRUE(chains_equal(session.chains({5}), core::price_candidate_chains(p, mc, {5})));
+  EXPECT_THROW((void)session.chains({0, 7}), std::logic_error);  // 7 was never priced
+
+  // One VM's setup cost moves.  With |C| = 1 that invalidates only the
+  // entries at that VM, in every bucket; pricing source 0 alone leaves
+  // source 5's bucket in place, known but for that one entry.
+  const NodeId moved = f.vms[0] != 5 ? f.vms[0] : f.vms[1];
+  p.node_cost[static_cast<std::size_t>(moved)] += 1.5;
+  (void)session.price(p, mc, {0}, core::ClosureUpdate::unchanged(), {});
+  EXPECT_TRUE(chains_equal(session.chains({0}), core::price_candidate_chains(p, mc, {0})));
+  EXPECT_THROW((void)session.chains({5}), std::logic_error);  // serving it == this test fails
 }
 
 /// The stale-bucket trap (ISSUE satellite): a plateau reshuffle can flip

@@ -14,6 +14,8 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "callback_solver.hpp"
 #include "sofe/api/registry.hpp"
@@ -95,31 +97,60 @@ TEST(PipelineDeterminism, MatchesSequentialDriverAcrossWorkersEpochsHolding) {
 // pool keep returning while departures churn the ledger both ways, so
 // consecutive epochs request overlapping hub sets and the session and
 // publisher closures repair, drop and rebuild rows as the working set
-// moves.  Every series — sequential at solver threads {1, 2, 8}, and
-// pipelined at each of those thread counts with workers {1, 2, 8} — must
-// be bitwise the plain-defaults sequential reference, on two topologies.
+// moves.  Every series — sequential at solver threads {1, 2, 8} and with
+// incremental_pricing off, and pipelined at each of those options with
+// workers {1, 2, 8} — must be bitwise the plain-defaults sequential
+// reference, on two topologies and at |C| = 1 and 2.  Knob off, the
+// publisher prices nothing and the workers price from scratch; knob on,
+// it prices each epoch once, so the chains it re-prices are the same at
+// every thread and worker count.  At |C| = 1 the table invalidates chain
+// by chain from each epoch's row deltas (a moved VM setup cost flushes
+// every |C| >= 2 chain), which pins that the publisher applies the
+// epoch's update.
 TEST(PipelineDeterminism, RecurringSourcesMatchAcrossThreadsAndWorkers) {
   const topology::Topology topos[] = {topology::softlayer(), topology::inet(40, 80, 8, 7)};
+  std::vector<std::pair<std::string, api::SolverOptions>> inputs;
+  for (int threads : {1, 2, 8}) {
+    api::SolverOptions opt;
+    opt.threads = threads;
+    inputs.emplace_back("threads=" + std::to_string(threads), opt);
+  }
+  api::SolverOptions knob_off;
+  knob_off.incremental_pricing = false;
+  inputs.emplace_back("incremental_pricing=false", knob_off);
   for (const auto& topo : topos) {
     for (int holding : {0, 8}) {
-      auto cfg = pipeline_config();
-      cfg.holding_arrivals = holding;
-      cfg.epoch_size = 4;
-      cfg.source_pool = 6;
-      cfg.source_alpha = 1.0;
-      const OnlineResult ref = sequential_reference(topo, cfg);
-      for (int threads : {1, 2, 8}) {
-        api::SolverOptions opt;
-        opt.threads = threads;
-        auto solver = api::make_solver("sofda", opt);
-        SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
-                     " threads=" + std::to_string(threads));
-        expect_series_identical(ref, simulate(topo, cfg, *solver));
-        for (int workers : {1, 2, 8}) {
-          PipelineOptions popt;
-          popt.workers = workers;
-          SCOPED_TRACE("workers=" + std::to_string(workers));
-          expect_series_identical(ref, Pipeline(topo, cfg, "sofda", opt, popt).run());
+      for (int chain_length : {1, 2}) {
+        auto cfg = pipeline_config();
+        cfg.holding_arrivals = holding;
+        cfg.chain_length = chain_length;
+        cfg.epoch_size = 4;
+        cfg.source_pool = 6;
+        cfg.source_alpha = 1.0;
+        const OnlineResult ref = sequential_reference(topo, cfg);
+        std::size_t epoch_repriced = 0;  // the publisher's tally, knob on
+        for (const auto& [label, opt] : inputs) {
+          auto solver = api::make_solver("sofda", opt);
+          SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
+                       " |C|=" + std::to_string(chain_length) + " " + label);
+          expect_series_identical(ref, simulate(topo, cfg, *solver));
+          for (int workers : {1, 2, 8}) {
+            PipelineOptions popt;
+            popt.workers = workers;
+            SCOPED_TRACE("workers=" + std::to_string(workers));
+            Pipeline pipeline(topo, cfg, "sofda", opt, popt);
+            api::ReportAccumulator acc;
+            pipeline.set_report_sink(&acc);
+            expect_series_identical(ref, pipeline.run());
+            if (!opt.incremental_pricing) {
+              EXPECT_EQ(acc.pricing_repriced(), 0u);
+            } else if (epoch_repriced == 0) {
+              epoch_repriced = acc.pricing_repriced();
+              EXPECT_GT(epoch_repriced, 0u);
+            } else {
+              EXPECT_EQ(acc.pricing_repriced(), epoch_repriced);
+            }
+          }
         }
       }
     }

@@ -13,12 +13,36 @@
 namespace sofe::topology {
 namespace {
 
+/// FNV-1a over every edge's (u, v, cost bits), in edge-id order: pins a
+/// generator's exact graph, so a faster build must reproduce it bitwise.
+std::uint64_t edge_digest(const graph::Graph& g) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto add = [&h](const auto& v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (unsigned char c : bytes) {
+      h ^= c;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+    const auto& edge = g.edge(e);
+    std::uint64_t cost_bits = 0;
+    std::memcpy(&cost_bits, &edge.cost, sizeof cost_bits);
+    add(edge.u);
+    add(edge.v);
+    add(cost_bits);
+  }
+  return h;
+}
+
 TEST(Topology, SoftlayerCounts) {
   const auto t = softlayer();
   EXPECT_EQ(t.g.node_count(), 27);
   EXPECT_EQ(t.g.edge_count(), 49);
   EXPECT_EQ(t.dc_nodes.size(), 17u);
   EXPECT_TRUE(graph::is_connected(t.g));
+  EXPECT_EQ(edge_digest(t.g), 0x183a919a03fe69faULL);
 }
 
 TEST(Topology, CogentCounts) {
@@ -27,6 +51,8 @@ TEST(Topology, CogentCounts) {
   EXPECT_EQ(t.g.edge_count(), 260);
   EXPECT_EQ(t.dc_nodes.size(), 40u);
   EXPECT_TRUE(graph::is_connected(t.g));
+  // The mesh builder sorts only the pairs it reaches; the graph is pinned.
+  EXPECT_EQ(edge_digest(t.g), 0x71e586550ddcdd7cULL);
 }
 
 TEST(Topology, InetCountsSmall) {
@@ -67,25 +93,8 @@ TEST(Topology, InetDeterministicPerSeed) {
   // checked for duplicates that alters the graph or the RNG stream shows
   // up here.
   const auto big = inet(2000, 4000, 8, 21);
-  std::uint64_t h = 1469598103934665603ULL;
-  const auto add = [&h](const auto& v) {
-    unsigned char bytes[sizeof v];
-    std::memcpy(bytes, &v, sizeof v);
-    for (unsigned char c : bytes) {
-      h ^= c;
-      h *= 1099511628211ULL;
-    }
-  };
-  for (graph::EdgeId e = 0; e < big.g.edge_count(); ++e) {
-    const auto& edge = big.g.edge(e);
-    std::uint64_t cost_bits = 0;
-    std::memcpy(&cost_bits, &edge.cost, sizeof cost_bits);
-    add(edge.u);
-    add(edge.v);
-    add(cost_bits);
-  }
   EXPECT_EQ(big.g.edge_count(), 4000);
-  EXPECT_EQ(h, 0x7c0287411904bfd9ULL);
+  EXPECT_EQ(edge_digest(big.g), 0x7c0287411904bfd9ULL);
 }
 
 TEST(Topology, Testbed14Counts) {
