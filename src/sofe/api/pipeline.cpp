@@ -357,12 +357,13 @@ int Pipeline::Impl::publish_epoch(int first) {
     if (price_epochs) {
       // Price once per epoch (§10): every source of the epoch against the
       // published closure, applying its update exactly once, on the same
-      // lanes.  A chain plan is a pure function of the snapshot, the source
-      // and the last VM, so the workers' reads are bitwise what they would
-      // have priced.  Staging the first slot makes the master a
-      // well-formed problem; commit_epoch re-stages every slot it reads.
-      (void)pricing.price(stream.stage(first), *published.closure, union_sources,
-                          published.update, price_opt, workers + 1, &epoch_tally, this);
+      // lanes, into the table alone — the workers read it in place.  A
+      // chain plan is a pure function of the snapshot, the source and the
+      // last VM, so the workers' reads are bitwise what they would have
+      // priced.  Staging the first slot makes the master a well-formed
+      // problem; commit_epoch re-stages every slot it reads.
+      pricing.refresh(stream.stage(first), *published.closure, union_sources, published.update,
+                      price_opt, workers + 1, &epoch_tally, this);
       published.pricing = &pricing;
     }
     lock.lock();

@@ -18,10 +18,11 @@ namespace {
 /// SOFDA as a session: the closure over {VMs} ∪ {sources} persists across
 /// solves (hub order matches core::sofda, so results are bit-identical to
 /// the free function), pricing fans out over SolverOptions::threads, and —
-/// with SolverOptions::incremental_pricing — the PricedChain cache rides
-/// the closure session's change stream so a repaired arrival re-prices
-/// only the touched chains (DESIGN.md §9).  solve_epoch reads the
-/// publisher's priced chains instead and touches neither cache (§10).
+/// with SolverOptions::incremental_pricing — the chain cache rides the
+/// closure session's change stream so a repaired arrival re-prices only
+/// the touched chains, and the solve reads them in place (DESIGN.md §9).
+/// solve_epoch reads the publisher's table in place instead and touches
+/// neither cache (§10).
 class SofdaSolver final : public Solver {
  public:
   SofdaSolver(SolverOptions opt, std::string name) : Solver(opt), name_(std::move(name)) {}
@@ -53,14 +54,14 @@ class SofdaSolver final : public Solver {
       // knob is ever flipped back on.
       pricing_.invalidate();
     }
-    const auto price_cached = [&](core::PricingTally& tally) {
+    const auto cached_view = [&](core::PricingTally& tally) {
       // The pricing cache must observe every closure change exactly once;
       // acquire() just ran, so last_update() is this solve's delta.
-      const core::ClosureUpdate update = session_.last_update();
-      return core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads,
-                                          &pricing_, &update, &tally);
+      pricing_.refresh(p, closure, p.sources, session_.last_update(), opt_.algo(), opt_.threads,
+                       &tally);
+      return pricing_.chains(p.sources);
     };
-    return price_and_solve(p, closure, opt_.incremental_pricing, r, price_cached);
+    return price_and_solve(p, closure, opt_.incremental_pricing, r, cached_view);
   }
 
   ServiceForest do_solve_epoch(const Problem& p, const ClosureEpoch& epoch,
@@ -83,35 +84,36 @@ class SofdaSolver final : public Solver {
     const bool cached = opt_.incremental_pricing && epoch.pricing != nullptr;
     return price_and_solve(p, closure, cached, r, [&](core::PricingTally&) {
       // Priced once per epoch by the publisher (DESIGN.md §10): this solve
-      // only reads its sources' chains and re-prices nothing.
+      // reads its sources' chains in place and re-prices nothing.
       return epoch.pricing->chains(p.sources);
     });
   }
 
  private:
-  /// The tail both entry points share: price the candidate chains against
-  /// `closure` — through `price_cached`, the caller's cached feed, when
-  /// `cached`, else from scratch — then run sofda_from_candidates over
-  /// them.
-  template <typename PriceCachedFn>
+  /// The tail both entry points share: take the candidate chains — in
+  /// place from `cached_view` (pointers into a pricing table) when
+  /// `cached`, else priced from scratch against `closure` — then run
+  /// sofda_from_candidates over them.
+  template <typename CachedViewFn>
   ServiceForest price_and_solve(const Problem& p, const graph::MetricClosure& closure,
-                                bool cached, SolveReport& r, const PriceCachedFn& price_cached) {
+                                bool cached, SolveReport& r, const CachedViewFn& cached_view) {
     util::Stopwatch watch;
-    std::vector<core::PricedChain> candidates;
-    if (cached) {
-      core::PricingTally tally;
-      candidates = price_cached(tally);
-      r.pricing_hits = tally.hits;
-      r.pricing_repriced = tally.repriced;
-      r.pricing_flushed = tally.flushed;
-    } else {
-      candidates = core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads);
+    const auto solve = [&](const auto& candidates) {
+      r.pricing_seconds = watch.seconds();
+      watch.reset();
+      ServiceForest f = core::sofda_from_candidates(p, closure, candidates, opt_.algo(), &r.sofda);
+      r.solve_seconds = watch.seconds();
+      return f;
+    };
+    if (!cached) {
+      return solve(core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads));
     }
-    r.pricing_seconds = watch.seconds();
-    watch.reset();
-    ServiceForest f = core::sofda_from_candidates(p, closure, candidates, opt_.algo(), &r.sofda);
-    r.solve_seconds = watch.seconds();
-    return f;
+    core::PricingTally tally;
+    const std::vector<const core::ChainPlan*> candidates = cached_view(tally);
+    r.pricing_hits = tally.hits;
+    r.pricing_repriced = tally.repriced;
+    r.pricing_flushed = tally.flushed;
+    return solve(candidates);
   }
 
   std::string name_;

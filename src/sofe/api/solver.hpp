@@ -135,7 +135,9 @@ struct SolveReport {
   std::size_t closure_bytes = 0;  // session closure slab footprint after the acquire
 
   double closure_seconds = 0.0;  // hub-tree (re)construction or repair
-  double pricing_seconds = 0.0;  // candidate-chain pricing (SOFDA)
+  double pricing_seconds = 0.0;  // candidate-chain pricing (SOFDA); on an
+                                 // epoch solve only the read of the
+                                 // publisher's table (chains())
   double solve_seconds = 0.0;    // everything after pricing
   double total_seconds = 0.0;    // full solve() wall time
 };
@@ -173,13 +175,15 @@ struct ClosureEpoch {
   /// and flushes on gaps.  Only the benchmark's per-slot replay reads it;
   /// the admission pipeline prices once per epoch (`pricing`).
   std::uint64_t generation = 0;
-  /// The epoch's priced chains: a session that priced every source of the
-  /// epoch against `closure` with `update`, read through
-  /// PricingSession::chains.  Non-owning and read-only; the admission
-  /// pipeline sets it after publish() and keeps it valid until its next
-  /// publish.  nullptr when nothing was priced (publish() itself, and a
-  /// pipeline whose sessions run with incremental_pricing off): solvers
-  /// then price from scratch against `closure`.
+  /// The epoch's priced chains: a session whose last refresh() priced
+  /// every source of the epoch against `closure` with `update`.  Solvers
+  /// read it through PricingSession::chains, a view into its table, and
+  /// never copy a plan.  Non-owning and read-only; the admission pipeline
+  /// sets it after publish() and refreshes the session only at its next
+  /// publish, with every worker parked, so the view's plans stay valid for
+  /// the whole solve.  nullptr when nothing was priced (publish() itself,
+  /// and a pipeline whose sessions run with incremental_pricing off):
+  /// solvers then price from scratch against `closure`.
   const core::PricingSession* pricing = nullptr;
 };
 

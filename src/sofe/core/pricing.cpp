@@ -153,7 +153,7 @@ void PricingSession::apply_update(const Problem& p, const ClosureUpdate& update,
 void PricingSession::price_source(const Problem& p, const graph::MetricClosure& closure,
                                   NodeId s, Bucket& bucket,
                                   kstroll::InstanceAssembler& assembler, const AlgoOptions& opt,
-                                  std::vector<PricedChain>& out, int& hits, int& repriced) {
+                                  int& hits, int& repriced) {
   // The shared-block assembly needs the main construction (zero source
   // setup) and a source outside the VM set; anything else re-prices
   // through the per-pair builder — same results, just not as fast.
@@ -186,20 +186,17 @@ void PricingSession::price_source(const Problem& p, const graph::MetricClosure& 
     } else {
       ++hits;
     }
-    if (e.state == Entry::State::kFeasible) out.push_back(PricedChain{s, u, e.plan});
   }
 }
 
-std::vector<PricedChain> PricingSession::price(const Problem& p,
-                                               const graph::MetricClosure& closure,
-                                               const std::vector<NodeId>& sources,
-                                               const ClosureUpdate& update,
-                                               const AlgoOptions& opt, int num_threads,
-                                               PricingTally* tally, util::LaneRunner* runner) {
+void PricingSession::refresh(const Problem& p, const graph::MetricClosure& closure,
+                             const std::vector<NodeId>& sources, const ClosureUpdate& update,
+                             const AlgoOptions& opt, int num_threads, PricingTally* tally,
+                             util::LaneRunner* runner) {
   assert(p.well_formed());
   assert(p.chain_length >= 1 && "multicast-only problems have no chains to price");
-  // A direct price() call leaves epoch mode: the caller's own update
-  // stream now keys the cache, so the next price_epoch must flush.
+  // A direct refresh() leaves epoch mode: the caller's own update stream
+  // now keys the cache, so the next price_epoch must flush.
   epoch_seen_ = false;
   PricingTally local;
   PricingTally& t = tally != nullptr ? *tally : local;
@@ -295,14 +292,14 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
     if (needed) block_.build(closure, key_vms_, p.node_cost);
   }
 
-  // --- 6. Price: same fixed source striping as price_candidate_chains,
-  // so the concatenated buckets reproduce the serial output bit for bit
-  // at any thread count. ---
+  // --- 6. Price in place: same fixed source striping as
+  // price_candidate_chains.  Every lane writes only its own sources'
+  // buckets and tallies, so the table — and chains() over it — is bitwise
+  // the serial one at any thread count. ---
   const int lanes = util::lane_count(num_threads, srcs.size());
   if (assemblers_.size() < static_cast<std::size_t>(lanes)) {
     assemblers_.resize(static_cast<std::size_t>(lanes));
   }
-  std::vector<std::vector<PricedChain>> per_source(srcs.size());
   std::vector<int> per_hits(srcs.size(), 0);
   std::vector<int> per_repriced(srcs.size(), 0);
 
@@ -311,29 +308,38 @@ std::vector<PricedChain> PricingSession::price(const Problem& p,
     for (auto i = static_cast<std::size_t>(lane); i < srcs.size();
          i += static_cast<std::size_t>(lanes)) {
       price_source(p, closure, srcs[i], buckets_.at(srcs[i]),
-                   assemblers_[static_cast<std::size_t>(lane)], opt, per_source[i], per_hits[i],
+                   assemblers_[static_cast<std::size_t>(lane)], opt, per_hits[i],
                    per_repriced[i]);
     }
   });
-
-  std::vector<PricedChain> candidates;
-  std::size_t total = 0;
-  for (const auto& bucket : per_source) total += bucket.size();
-  candidates.reserve(total);
   for (std::size_t i = 0; i < srcs.size(); ++i) {
-    for (PricedChain& c : per_source[i]) candidates.push_back(std::move(c));
     t.hits += per_hits[i];
     t.repriced += per_repriced[i];
   }
-  return candidates;
 }
 
-std::vector<PricedChain> PricingSession::chains(const std::vector<NodeId>& sources) const {
-  // Mirrors price_source's output loop over the cached outcomes, and
-  // refuses what price_source would have re-priced: serving such an entry
-  // would hand out a chain priced against some older closure.
-  const std::vector<NodeId> srcs = sorted_unique(sources);
+std::vector<PricedChain> PricingSession::price(const Problem& p,
+                                               const graph::MetricClosure& closure,
+                                               const std::vector<NodeId>& sources,
+                                               const ClosureUpdate& update,
+                                               const AlgoOptions& opt, int num_threads,
+                                               PricingTally* tally, util::LaneRunner* runner) {
+  refresh(p, closure, sources, update, opt, num_threads, tally, runner);
+  const std::vector<const ChainPlan*> view = chains(sources);
   std::vector<PricedChain> out;
+  out.reserve(view.size());
+  for (const ChainPlan* plan : view) {
+    out.push_back(PricedChain{plan->source, plan->last_vm, *plan});
+  }
+  return out;
+}
+
+std::vector<const ChainPlan*> PricingSession::chains(const std::vector<NodeId>& sources) const {
+  // Walks the cached outcomes in price_source's order, and refuses what
+  // price_source would have re-priced: serving such an entry would hand
+  // out a chain priced against some older closure.
+  const std::vector<NodeId> srcs = sorted_unique(sources);
+  std::vector<const ChainPlan*> out;
   out.reserve(srcs.size() * key_vms_.size());
   for (NodeId s : srcs) {
     const auto it = buckets_.find(s);
@@ -351,7 +357,10 @@ std::vector<PricedChain> PricingSession::chains(const std::vector<NodeId>& sourc
                                std::to_string(s) + " to VM " + std::to_string(u) +
                                " was invalidated since it was priced");
       }
-      if (e.state == Entry::State::kFeasible) out.push_back(PricedChain{s, u, e.plan});
+      if (e.state == Entry::State::kFeasible) {
+        assert(e.plan.source == s && e.plan.last_vm == u);
+        out.push_back(&e.plan);
+      }
     }
   }
   return out;
@@ -375,7 +384,7 @@ std::vector<PricedChain> PricingSession::price_epoch(const Problem& p,
     effective = ClosureUpdate::rebuilt();
   }
   auto out = price(p, closure, sources, effective, opt, num_threads, tally);
-  epoch_seen_ = true;  // price() cleared it; this call stays in epoch mode
+  epoch_seen_ = true;  // refresh() cleared it; this call stays in epoch mode
   epoch_generation_ = generation;
   return out;
 }

@@ -5,15 +5,15 @@
 // PR 4 made the metric closure incremental; on the paper-scale online
 // panels the remaining per-arrival wall clock is k-stroll pricing, which
 // the free functions redo from scratch every solve.  PricingSession
-// extends the delta principle one layer up: it keeps every PricedChain
+// extends the delta principle one layer up: it keeps every ChainPlan
 // keyed per (source, last VM) across solves and consumes the same
 // closure-change stream api::ClosureSession already computes —
 // invalidating exactly the chains whose closure rows, lift paths or setup
 // costs were touched, re-pricing those through the shared-block instance
-// assembly (kstroll/pricing.hpp), and serving the rest from cache.  The
-// output is bitwise identical to core::price_candidate_chains at any
-// thread count (tested, and asserted end-to-end by bench_fig12_online's
-// differential run).
+// assembly (kstroll/pricing.hpp), and serving the rest from the table in
+// place (chains() is a view into it).  The output is bitwise identical to
+// core::price_candidate_chains at any thread count (tested, and asserted
+// end-to-end by bench_fig12_online's differential run).
 //
 // Invalidation contract (proofs and the full case analysis in DESIGN.md
 // §9):
@@ -49,10 +49,10 @@ class LaneRunner;
 
 namespace sofe::core {
 
-/// What happened to the metric closure since the previous price() call on
-/// the same session.  api::ClosureSession::last_update produces this from
+/// What happened to the metric closure since the previous refresh() on the
+/// same session.  api::ClosureSession::last_update produces this from
 /// every acquire; callers without delta knowledge pass rebuilt() — always
-/// sound, never fast.  The spans must stay alive for the price() call.
+/// sound, never fast.  The spans must stay alive for the refresh() call.
 struct ClosureUpdate {
   enum class Kind {
     kUnchanged,  // bitwise the same closure (cache hit)
@@ -71,7 +71,7 @@ struct ClosureUpdate {
   static ClosureUpdate rebuilt() noexcept { return {Kind::kRebuilt, {}, {}}; }
 };
 
-/// Per-price() cache-effect counters, surfaced through api::SolveReport
+/// Per-refresh() cache-effect counters, surfaced through api::SolveReport
 /// and the bench's per-phase breakdown.
 struct PricingTally {
   int hits = 0;        // chains served from cache, bitwise unchanged
@@ -79,39 +79,52 @@ struct PricingTally {
   bool flushed = false;  // this call dropped every cached chain
 };
 
-/// Session-scoped PricedChain cache.  One PricingSession serves one
-/// logical stream of Problems whose closure is maintained by one
-/// ClosureSession (api::SofdaSolver owns exactly that pair, and the
-/// admission pipeline's publisher another); price() must see every closure
-/// change exactly once via `update`.  Sessions are single-writer objects;
-/// `num_threads` parallelism happens inside a price() call and is
-/// bit-identical to serial (per-source buckets, fixed striping — the same
-/// scheme as core::price_candidate_chains).  Between price() calls any
-/// number of threads may read the table through chains().
+/// Session-scoped chain cache: one ChainPlan per (source, last VM), kept
+/// across calls.  One PricingSession serves one logical stream of Problems
+/// whose closure is maintained by one ClosureSession (api::SofdaSolver owns
+/// exactly that pair, and the admission pipeline's publisher another);
+/// refresh() must see every closure change exactly once via `update`.
+/// Sessions are single-writer objects; `num_threads` parallelism happens
+/// inside a refresh() call and is bit-identical to serial (per-source
+/// buckets, fixed striping — the same scheme as
+/// core::price_candidate_chains).  Between refresh() calls any number of
+/// threads may read the table through chains().
 class PricingSession {
  public:
-  /// Drop-in replacement for core::price_candidate_chains (same canonical
-  /// (source, last_vm) output order, bitwise-identical plans): serves
-  /// cached chains that survived `update`, re-prices the rest.  Requires
-  /// p.chain_length >= 1 and closure trees for every VM and every source.
-  /// Lanes past the caller's run on `runner` when one is given, else on
-  /// fresh threads (util::fork_join); the admission pipeline lends its
-  /// parked workers here (DESIGN.md §10).
+  /// Brings the table up to date for `sources`: serves cached chains that
+  /// survived `update`, re-prices the rest in place.  Builds no output —
+  /// read the result through chains().  Requires p.chain_length >= 1 and
+  /// closure trees for every VM and every source.  Lanes past the caller's
+  /// run on `runner` when one is given, else on fresh threads
+  /// (util::fork_join); the admission pipeline lends its parked workers
+  /// here (DESIGN.md §10).
+  void refresh(const Problem& p, const graph::MetricClosure& closure,
+               const std::vector<NodeId>& sources, const ClosureUpdate& update,
+               const AlgoOptions& opt, int num_threads = 1, PricingTally* tally = nullptr,
+               util::LaneRunner* runner = nullptr);
+
+  /// refresh() followed by a copy of chains(sources): a drop-in replacement
+  /// for core::price_candidate_chains (same canonical (source, last_vm)
+  /// output order, bitwise-identical plans), for callers that need owned
+  /// values.
   std::vector<PricedChain> price(const Problem& p, const graph::MetricClosure& closure,
                                  const std::vector<NodeId>& sources, const ClosureUpdate& update,
                                  const AlgoOptions& opt, int num_threads = 1,
                                  PricingTally* tally = nullptr,
                                  util::LaneRunner* runner = nullptr);
 
-  /// The table as the last price() left it, read-only: for every source in
-  /// `sources`, bitwise what that price() returned for it (same canonical
-  /// order).  Safe for any number of concurrent readers while no price()
-  /// runs — the pipeline's workers read the publisher's epoch table this
+  /// The feasible chains of `sources` as the last refresh() left them, in
+  /// canonical (source, last_vm) order: pointers into the table, no copies.
+  /// Bitwise what price() would return for those sources (each plan's
+  /// source and last_vm name its pair).  The pointers stay valid until the
+  /// next refresh(), price(), price_epoch() or invalidate() on this session
+  /// or its destruction; until then any number of threads may read them —
+  /// the pipeline's workers solve against the publisher's epoch table this
   /// way (DESIGN.md §10).  Throws std::logic_error for a source whose
   /// bucket is missing (never priced, or evicted) or holds an entry the
-  /// cache no longer knows (invalidated by a later price() that did not
+  /// cache no longer knows (invalidated by a later refresh() that did not
   /// name the source).
-  std::vector<PricedChain> chains(const std::vector<NodeId>& sources) const;
+  std::vector<const ChainPlan*> chains(const std::vector<NodeId>& sources) const;
 
   /// Per-slot fork-from-epoch mode, kept for the benchmark's
   /// single-threaded replay (the admission pipeline prices once per epoch
@@ -128,9 +141,9 @@ class PricingSession {
   ///   * a gap, or the session's first epoch   -> this session missed at
   ///     least one epoch's row deltas (it priced nothing that epoch):
   ///     flush — sound, never fast.
-  /// Mixing price() and price_epoch() on one session re-keys the cache to
+  /// Mixing refresh() and price_epoch() on one session re-keys the cache to
   /// whichever closure came last: the next price_epoch after a plain
-  /// price() flushes (first-epoch rule), and callers switching the other
+  /// refresh() flushes (first-epoch rule), and callers switching the other
   /// way must invalidate() — the epoch closure's changes are not in their
   /// own update stream.
   std::vector<PricedChain> price_epoch(const Problem& p, const graph::MetricClosure& closure,
@@ -139,7 +152,7 @@ class PricingSession {
                                        const AlgoOptions& opt, int num_threads = 1,
                                        PricingTally* tally = nullptr);
 
-  /// Drops every cached chain and the shared block (next price() starts
+  /// Drops every cached chain and the shared block (next refresh() starts
   /// cold).  Call when closure changes may have gone unobserved.
   void invalidate();
 
@@ -162,11 +175,10 @@ class PricingSession {
   const std::vector<std::uint8_t>& row_marks(const graph::MetricClosure::RowDelta& row);
   void price_source(const Problem& p, const graph::MetricClosure& closure, NodeId s,
                     Bucket& bucket, kstroll::InstanceAssembler& assembler,
-                    const AlgoOptions& opt, std::vector<PricedChain>& out, int& hits,
-                    int& repriced);
+                    const AlgoOptions& opt, int& hits, int& repriced);
 
   // Epoch-mode state (price_epoch): the last generation whose update this
-  // session consumed.  Reset by price() so mode switches never replay or
+  // session consumed.  Reset by refresh() so mode switches never replay or
   // skip an update.
   bool epoch_seen_ = false;
   std::uint64_t epoch_generation_ = 0;

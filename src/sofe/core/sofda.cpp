@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <set>
+#include <stdexcept>
+#include <string>
 
-#include "sofe/core/pricing.hpp"
 #include "sofe/graph/mst.hpp"
 #include "sofe/steiner/steiner.hpp"
 #include "sofe/util/fork_join.hpp"
@@ -81,15 +80,7 @@ ServiceForest multicast_only(const Problem& p, const AlgoOptions& opt) {
 std::vector<PricedChain> price_candidate_chains(const Problem& p,
                                                 const graph::MetricClosure& closure,
                                                 const std::vector<NodeId>& sources,
-                                                const AlgoOptions& opt, int num_threads,
-                                                PricingSession* session,
-                                                const ClosureUpdate* update,
-                                                PricingTally* tally) {
-  if (session != nullptr) {
-    return session->price(p, closure, sources,
-                          update != nullptr ? *update : ClosureUpdate::rebuilt(), opt,
-                          num_threads, tally);
-  }
+                                                const AlgoOptions& opt, int num_threads) {
   const std::vector<NodeId> vms = p.vms();
   const std::vector<NodeId> srcs = sorted_unique(sources);
   const auto price_source = [&](NodeId s, std::vector<PricedChain>& out) {
@@ -135,8 +126,7 @@ void merge_priced_chains(std::vector<PricedChain>& chains) {
   });
 }
 
-ServiceForest sofda(const Problem& p, const AlgoOptions& opt, SofdaStats* stats,
-                    PricingSession* pricing) {
+ServiceForest sofda(const Problem& p, const AlgoOptions& opt, SofdaStats* stats) {
   assert(p.well_formed());
   SofdaStats local;
   SofdaStats& st = stats ? *stats : local;
@@ -151,15 +141,25 @@ ServiceForest sofda(const Problem& p, const AlgoOptions& opt, SofdaStats* stats,
   const graph::MetricClosure closure(p.network, hubs, opt.closure_threads);
 
   // --- Step 1: price candidate service chains for every (source, last VM).
-  // The closure is freshly built, so a session prices under the
-  // conservative rebuilt() update (bitwise the same candidates; tested).
   const auto candidates = price_candidate_chains(p, closure, p.sources, opt,
-                                                 opt.closure_threads, pricing);
+                                                 opt.closure_threads);
   return sofda_from_candidates(p, closure, candidates, opt, stats);
 }
 
 ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure& closure,
                                     const std::vector<PricedChain>& candidates,
+                                    const AlgoOptions& opt, SofdaStats* stats) {
+  std::vector<const ChainPlan*> plans;
+  plans.reserve(candidates.size());
+  for (const PricedChain& c : candidates) {
+    assert(c.source == c.plan.source && c.last_vm == c.plan.last_vm);
+    plans.push_back(&c.plan);
+  }
+  return sofda_from_candidates(p, closure, plans, opt, stats);
+}
+
+ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure& closure,
+                                    std::span<const ChainPlan* const> candidates,
                                     const AlgoOptions& opt, SofdaStats* stats) {
   assert(p.well_formed());
   assert(p.chain_length >= 1);
@@ -179,30 +179,36 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
   st.candidate_chains = static_cast<int>(candidates.size());
   if (candidates.empty()) return {};
 
-  // --- Step 2: auxiliary graph Ĝ (Procedure 3).
+  // --- Step 2: auxiliary graph Ĝ (Procedure 3), numbered after G: ŝ, one
+  // duplicate per source (ascending) hung off ŝ, one per VM (p.vms()
+  // order) hung off its VM, then one virtual edge per candidate in
+  // candidate order — so candidate i is aux edge first_virtual + i.
   Graph aux = p.network;
   const NodeId n_orig = p.network.node_count();
   const NodeId vroot = aux.add_node();  // ŝ
-  std::map<NodeId, NodeId> source_dup;  // v -> v̂
-  std::map<NodeId, NodeId> vm_dup;      // u -> û
-  std::map<NodeId, NodeId> dup_owner;   // duplicate -> original
+  std::vector<NodeId> source_dup(static_cast<std::size_t>(n_orig), graph::kInvalidNode);  // v̂
+  std::vector<NodeId> vm_dup(static_cast<std::size_t>(n_orig), graph::kInvalidNode);      // û
   for (NodeId s : sorted_sources) {
     const NodeId d = aux.add_node();
-    source_dup[s] = d;
-    dup_owner[d] = s;
+    source_dup[static_cast<std::size_t>(s)] = d;
     aux.add_edge(vroot, d, 0.0);
   }
   for (NodeId u : vms) {
     const NodeId d = aux.add_node();
-    vm_dup[u] = d;
-    dup_owner[d] = u;
+    vm_dup[static_cast<std::size_t>(u)] = d;
     aux.add_edge(u, d, 0.0);
   }
-  std::map<EdgeId, std::size_t> virtual_edge_candidate;  // aux edge -> candidate idx
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const EdgeId e = aux.add_edge(source_dup.at(candidates[i].source),
-                                  vm_dup.at(candidates[i].last_vm), candidates[i].plan.cost);
-    virtual_edge_candidate[e] = i;
+  const auto dup_of = [n_orig](const std::vector<NodeId>& dups, NodeId v, const char* role) {
+    if (v < 0 || v >= n_orig || dups[static_cast<std::size_t>(v)] == graph::kInvalidNode) {
+      throw std::invalid_argument(std::string("sofda_from_candidates: candidate ") + role + " " +
+                                  std::to_string(v) + " is not one of the problem's");
+    }
+    return dups[static_cast<std::size_t>(v)];
+  };
+  const EdgeId first_virtual = aux.edge_count();
+  for (const ChainPlan* c : candidates) {
+    aux.add_edge(dup_of(source_dup, c->source, "source"), dup_of(vm_dup, c->last_vm, "last VM"),
+                 c->cost);
   }
 
   // --- Step 3: Steiner tree over {ŝ} ∪ D.
@@ -215,12 +221,12 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
   // zero-cost ties; the fix never increases cost).
   RootedTree rt;
   rt.build(aux, tree.edges, vroot);
-  for (const auto& [s, dup] : source_dup) {
-    (void)s;
-    const auto di = static_cast<std::size_t>(dup);
+  for (NodeId s : sorted_sources) {
+    const NodeId sd = source_dup[static_cast<std::size_t>(s)];
+    const auto di = static_cast<std::size_t>(sd);
     if (rt.in_tree[di] && rt.parent[di] != vroot) {
       std::erase(tree.edges, rt.parent_edge[di]);
-      tree.edges.push_back(aux.find_edge(vroot, dup));
+      tree.edges.push_back(aux.find_edge(vroot, sd));
       rt.build(aux, tree.edges, vroot);
     }
   }
@@ -235,18 +241,16 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
   ChainPool pool(p);
   std::vector<std::pair<EdgeId, std::size_t>> selected;  // (aux edge, candidate)
   for (EdgeId e : tree.edges) {
-    const auto it = virtual_edge_candidate.find(e);
-    if (it == virtual_edge_candidate.end()) continue;
+    if (e < first_virtual) continue;  // a network or zero-cost edge
+    const auto ci = static_cast<std::size_t>(e - first_virtual);
     // Orientation check: the VM duplicate must be the child.
-    const NodeId dup_u = vm_dup.at(candidates[it->second].last_vm);
-    if (rt.parent_edge[static_cast<std::size_t>(dup_u)] == e) {
-      selected.emplace_back(e, it->second);
-    }
+    const NodeId dup_u = vm_dup[static_cast<std::size_t>(candidates[ci]->last_vm)];
+    if (rt.parent_edge[static_cast<std::size_t>(dup_u)] == e) selected.emplace_back(e, ci);
   }
   std::sort(selected.begin(), selected.end());
   for (const auto& [e, ci] : selected) {
     (void)e;
-    const ChainPlan& plan = candidates[ci].plan;
+    const ChainPlan& plan = *candidates[ci];
     DeployedChain chain;
     chain.source = plan.source;
     chain.last_vm = plan.last_vm;
@@ -278,8 +282,7 @@ ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure
     if (dup != graph::kInvalidNode && dup != vroot) {
       // Find the candidate whose virtual edge feeds this duplicate.
       const EdgeId pe = rt.parent_edge[static_cast<std::size_t>(dup)];
-      const auto it = virtual_edge_candidate.find(pe);
-      if (it != virtual_edge_candidate.end()) chain = pool.find(static_cast<int>(it->second));
+      if (pe >= first_virtual) chain = pool.find(static_cast<int>(pe - first_virtual));
     }
     ChainWalk w;
     w.destination = d;

@@ -13,15 +13,14 @@
 //      conflicts (Procedure 4) without adding links or enabling new VMs;
 //   5. route each destination along T ∩ G from its chain's last VM.
 
+#include <span>
+#include <vector>
+
 #include "sofe/core/chain_walk.hpp"
 #include "sofe/core/conflict.hpp"
 #include "sofe/core/forest.hpp"
 
 namespace sofe::core {
-
-class PricingSession;   // pricing.hpp: the repair-aware chain cache (DESIGN.md §9)
-struct ClosureUpdate;   //   what changed in the closure since its last price()
-struct PricingTally;    //   per-call hit/reprice counters
 
 struct SofdaStats {
   ConflictStats conflicts;
@@ -33,12 +32,11 @@ struct SofdaStats {
 
 /// Runs SOFDA.  Returns an empty forest when the instance is infeasible
 /// (no destinations, or no source can reach a full chain and a destination).
-/// A non-null `pricing` prices through the session cache with a
-/// conservative rebuilt() update (this one-shot builds a fresh closure, so
-/// every chain re-prices — the session's value here is the shared-block
-/// assembly and API uniformity; persistent reuse lives in api::Solver).
+/// A one-shot: it builds a fresh closure and prices from scratch; the
+/// repair-aware chain cache (core::PricingSession, DESIGN.md §9) lives in
+/// api::Solver sessions.
 ServiceForest sofda(const Problem& p, const AlgoOptions& opt = {},
-                    SofdaStats* stats = nullptr, PricingSession* pricing = nullptr);
+                    SofdaStats* stats = nullptr);
 
 /// One priced candidate service chain: a feasible (source, last VM) pair and
 /// its Procedure-2 walk plan.  The unit of exchange between controllers in
@@ -64,22 +62,15 @@ struct PricedChain {
 /// ascending-source order reproduces the serial output bit for bit at any
 /// thread count (tested).  Values < 1 are clamped to 1.
 ///
-/// A non-null `session` routes the call through the repair-aware
-/// PricedChain cache (pricing.hpp, DESIGN.md §9): chains whose closure
-/// rows survived `update` (rebuilt() when null — always sound) are served
-/// from cache, the rest re-price through the shared-block assembly.
-/// Output is bitwise identical either way; `tally` receives the
-/// hit/reprice counts.  api::SofdaSolver threads its per-solve
-/// ClosureSession outcome through here so pricing state persists across
-/// online::simulate arrivals.
+/// This is the from-scratch reference.  The repair-aware chain cache
+/// (PricingSession, pricing.hpp, DESIGN.md §9) returns bitwise the same
+/// chains; sessions that solve right away read them in place through
+/// PricingSession::chains instead of copying.
 std::vector<PricedChain> price_candidate_chains(const Problem& p,
                                                 const graph::MetricClosure& closure,
                                                 const std::vector<NodeId>& sources,
                                                 const AlgoOptions& opt = {},
-                                                int num_threads = 1,
-                                                PricingSession* session = nullptr,
-                                                const ClosureUpdate* update = nullptr,
-                                                PricingTally* tally = nullptr);
+                                                int num_threads = 1);
 
 /// Coordinator-side merge of per-controller pricing outputs: restores the
 /// canonical (source, last_vm) order a single price_candidate_chains call
@@ -91,12 +82,22 @@ std::vector<PricedChain> price_candidate_chains(const Problem& p,
 void merge_priced_chains(std::vector<PricedChain>& chains);
 
 /// Steps 2-5 of SOFDA (auxiliary graph, Steiner tree, deployment, walks)
-/// given already-priced candidates in canonical (source, last_vm) order.
+/// given already-priced feasible candidates in canonical (source, last_vm)
+/// order, each naming its pair through ChainPlan::source / last_vm (a
+/// source of `p` and a VM).  The plans are read, never copied, during the
+/// call only — PricingSession::chains hands its table over this way.
 /// `closure` must hold trees for every candidate's last VM (used by the
 /// drop-fallback re-homing) and, with `opt.shorten`, for every source, each
 /// row exact toward the VMs and destinations (shorten_pass_through's
 /// precondition; a bounded closure must settle the destinations).
-/// Requires chain_length >= 1.
+/// Requires chain_length >= 1.  Throws std::invalid_argument for a
+/// candidate whose source or last VM is not one of `p`'s.
+ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure& closure,
+                                    std::span<const ChainPlan* const> candidates,
+                                    const AlgoOptions& opt = {}, SofdaStats* stats = nullptr);
+
+/// Adapter for callers holding owned values (the multi-controller merge,
+/// from-scratch pricing): solves over pointers to each candidate's plan.
 ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure& closure,
                                     const std::vector<PricedChain>& candidates,
                                     const AlgoOptions& opt = {}, SofdaStats* stats = nullptr);

@@ -149,6 +149,7 @@ Problem deserialize(const std::string& text) {
     return n;
   };
   const int nodes = header("nodes");
+  if (nodes > kMaxInstanceNodes) fail("nodes");  // refused before anything is sized by it
   p.chain_length = header("chain");
   const int edges = header("edges");
   p.network = core::Graph(nodes);

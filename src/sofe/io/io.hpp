@@ -27,8 +27,14 @@ std::string to_dot(const Problem& p, const ServiceForest& f);
 /// Serializes the problem to the `sofe-instance v1` text format.
 std::string serialize(const Problem& p);
 
+/// Largest `nodes` count deserialize() accepts.  The header's count sizes
+/// the graph before any edge is read, so without a cap one hostile line
+/// could ask for tens of gigabytes; the largest graph the library builds
+/// (Inet-5000 plus its VMs) is more than 800 times smaller.
+inline constexpr int kMaxInstanceNodes = 1 << 22;
+
 /// Parses a `sofe-instance v1` text.  Throws std::runtime_error on malformed
-/// input.
+/// input, including a `nodes` count above kMaxInstanceNodes.
 Problem deserialize(const std::string& text);
 
 /// File helpers.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <stdexcept>
 #include <string>
 
@@ -71,6 +72,13 @@ TEST(Io, RejectsMalformedInput) {
   expect_parse_error("", "bad header");
   expect_parse_error("sofe-instance v2\n", "bad header");
   expect_parse_error("sofe-instance v1\nnodes -3\n", "nodes");
+  // The node count sizes the graph before any edge is read, so a count
+  // past the cap is refused up front instead of allocated.
+  const auto sized = [](long long nodes) {
+    return "sofe-instance v1\nnodes " + std::to_string(nodes) + "\nchain 1\nedges 0\n";
+  };
+  expect_parse_error(sized(kMaxInstanceNodes + 1LL), "nodes");
+  expect_parse_error(sized(INT_MAX), "nodes");
   const std::string head = "sofe-instance v1\nnodes 2\nchain 1\nedges 1\n";
   const std::string edge = "0 1 1.0\n";
   const std::string vms = "vms 1:2.0\n";

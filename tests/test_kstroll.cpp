@@ -5,10 +5,13 @@
 // builder, and the PricingSession's cache hit/invalidate semantics across
 // repair vs rebuild vs extend, departure cost restores, thread counts and
 // lent lane runners, the equal-cost parent-flip traps, and the read-only
-// chains() view of the table.
+// chains() view into the table (bitwise the values price() returns).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 
@@ -307,6 +310,23 @@ bool chains_equal(const std::vector<core::PricedChain>& a,
   return true;
 }
 
+/// PricingSession::chains' pointer view against owned values, plan by
+/// plan: source, last VM, nodes, vnf_pos and the cost's bits.
+bool chains_equal(const std::vector<const core::ChainPlan*>& view,
+                  const std::vector<core::PricedChain>& values) {
+  if (view.size() != values.size()) return false;
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    const core::ChainPlan& a = *view[i];
+    const core::PricedChain& b = values[i];
+    if (a.source != b.source || a.last_vm != b.last_vm || a.nodes != b.plan.nodes ||
+        a.vnf_pos != b.plan.vnf_pos ||
+        std::bit_cast<std::uint64_t>(a.cost) != std::bit_cast<std::uint64_t>(b.plan.cost)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 TEST(PricingSession, ColdCallMatchesFreeFunctionThenHitsWhenUnchanged) {
   Fixture f = random_fixture(7117, 26, 8);
   const auto p = problem_for(f, {0, 5}, 3);
@@ -498,6 +518,54 @@ TEST(PricingSession, BitIdenticalAcrossThreadCounts) {
   EXPECT_TRUE(chains_equal(warm[0], warm[2]));
   EXPECT_TRUE(chains_equal(warm[0], core::price_candidate_chains(p, mc, p.sources)));
   price_lent(update, warm[0]);
+}
+
+// refresh() writes the table alone; chains(X) read from it is bitwise what
+// a twin session's price(S) returned, restricted to the sources in X — on
+// the cold call and after a repair round, both sessions pricing at 3 lanes
+// on parked pool threads.
+TEST(PricingSession, RefreshThenChainsEqualsTwinPriceRestricted) {
+  Fixture f = random_fixture(8642, 30, 9);
+  auto p = problem_for(f, {0, 3, 6, 10, 14}, 2);
+  auto mc = closure_for_problem(p);
+
+  test::PooledRunner pooled(2);
+  core::PricingSession viewed;
+  core::PricingSession priced;
+  const std::vector<NodeId> subsets[] = {p.sources, {10, 0}, {14, 6, 3}};
+  const auto check = [&](const core::ClosureUpdate& update) {
+    core::PricingTally viewed_tally;
+    core::PricingTally priced_tally;
+    viewed.refresh(p, mc, p.sources, update, {}, 3, &viewed_tally, &pooled);
+    const auto whole = priced.price(p, mc, p.sources, update, {}, 3, &priced_tally, &pooled);
+    EXPECT_TRUE(chains_equal(whole, core::price_candidate_chains(p, mc, p.sources)));
+    EXPECT_EQ(viewed_tally.hits, priced_tally.hits);
+    EXPECT_EQ(viewed_tally.repriced, priced_tally.repriced);
+    EXPECT_EQ(viewed_tally.flushed, priced_tally.flushed);
+    for (const auto& subset : subsets) {
+      std::vector<core::PricedChain> restricted;
+      for (const core::PricedChain& c : whole) {
+        if (std::find(subset.begin(), subset.end(), c.source) != subset.end()) {
+          restricted.push_back(c);
+        }
+      }
+      EXPECT_TRUE(chains_equal(viewed.chains(subset), restricted));
+    }
+  };
+  check(core::ClosureUpdate::rebuilt());
+
+  std::vector<graph::EdgeCostDelta> deltas;
+  for (core::EdgeId e : {2, 5, 11, 17}) {
+    const Cost old_cost = p.network.edge(e).cost;
+    p.network.set_edge_cost(e, old_cost * 1.75 + 0.5);
+    deltas.push_back({e, old_cost, p.network.edge(e).cost});
+  }
+  std::vector<graph::MetricClosure::RowDelta> rows;
+  mc.refresh(p.network, deltas, 1, nullptr, &rows);
+  core::ClosureUpdate update;
+  update.kind = core::ClosureUpdate::Kind::kRepaired;
+  update.rows = rows;
+  check(update);
 }
 
 // chains() serves only what the last price() left known: a source that

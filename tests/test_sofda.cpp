@@ -1,9 +1,16 @@
 // SOFDA (Algorithm 2) tests: feasibility across instance shapes, multi-tree
 // advantage (the paper's Fig. 1 motivation), the 3ρST envelope against the
-// exact solver, and the Lemma-2 Steiner-certificate bound.
+// exact solver, the Lemma-2 Steiner-certificate bound, and a recorded
+// digest of the forests and stats SOFDA produces on fixed instances.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <utility>
+
+#include "sofe/core/pricing.hpp"
 #include "sofe/core/sofda.hpp"
 #include "sofe/core/sofda_ss.hpp"
 #include "sofe/core/validate.hpp"
@@ -159,10 +166,10 @@ TEST_P(SofdaEnvelope, WithinSixTimesOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SofdaEnvelope, ::testing::Range(1, 21));
 
-TEST(Sofda, VnfConflictInstanceResolvedFeasibly) {
-  // Engineered crossing chains: two sources on opposite sides of a shared
-  // VM pair — virtual edges overlap and Procedure 4 must kick in or the
-  // shared VMs must agree on indices.
+/// Engineered crossing chains: two sources on opposite sides of a shared
+/// VM pair — virtual edges overlap and Procedure 4 must kick in or the
+/// shared VMs must agree on indices.
+Problem vnf_conflict_problem() {
   Problem p;
   p.network = Graph(8);
   p.network.add_edge(0, 2, 1.0);
@@ -177,11 +184,192 @@ TEST(Sofda, VnfConflictInstanceResolvedFeasibly) {
   p.sources = {0, 1};
   p.destinations = {5, 6};
   p.chain_length = 2;
+  return p;
+}
+
+TEST(Sofda, VnfConflictInstanceResolvedFeasibly) {
+  const Problem p = vnf_conflict_problem();
   SofdaStats stats;
   const auto f = sofda(p, {}, &stats);
   ASSERT_FALSE(f.empty());
   EXPECT_TRUE(is_feasible(p, f)) << validate(p, f).summary();
   EXPECT_EQ(stats.rehomed_destinations, 0);
+}
+
+/// FNV-1a over the bytes of each value fed to it.
+class Fnv1a {
+ public:
+  template <typename T>
+  void add(const T& v) {
+    unsigned char bytes[sizeof v];
+    std::memcpy(bytes, &v, sizeof v);
+    for (unsigned char c : bytes) {
+      h_ ^= c;
+      h_ *= 1099511628211ULL;
+    }
+  }
+  std::uint64_t value() const noexcept { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ULL;
+};
+
+/// Every walk's destination, source, nodes and vnf_pos, then the stats
+/// (the Steiner cost by its bits).
+void add_forest(Fnv1a& h, const ServiceForest& f, const SofdaStats& st) {
+  h.add(f.walks.size());
+  for (const ChainWalk& w : f.walks) {
+    h.add(w.destination);
+    h.add(w.source);
+    h.add(w.nodes.size());
+    for (NodeId v : w.nodes) h.add(v);
+    h.add(w.vnf_pos.size());
+    for (std::size_t pos : w.vnf_pos) h.add(pos);
+  }
+  h.add(st.deployed_chains);
+  h.add(st.candidate_chains);
+  h.add(st.conflicts.case1);
+  h.add(st.conflicts.case2);
+  h.add(st.conflicts.case3);
+  h.add(st.conflicts.requeued);
+  h.add(st.conflicts.dropped);
+  h.add(st.rehomed_destinations);
+  h.add(st.steiner_tree_cost);
+}
+
+/// `islands` clusters of about n / islands nodes (a random tree plus as
+/// many random chords as nodes) joined in a row by single costly bridges,
+/// each holding one source and its share of the VMs and destinations, so
+/// that SOFDA's forests split into several trees.
+Problem islands_problem(std::uint64_t seed, int n, int m, int islands, int dests, int chain) {
+  util::Rng rng(seed);
+  Problem p;
+  p.network = Graph(n);
+  p.node_cost.assign(static_cast<std::size_t>(n), 0.0);
+  p.is_vm.assign(static_cast<std::size_t>(n), 0);
+  const int size = n / islands;
+  for (int b = 0; b < islands; ++b) {
+    const NodeId lo = b * size;
+    const NodeId hi = b + 1 == islands ? n : lo + size;
+    const auto span = static_cast<std::size_t>(hi - lo);
+    for (NodeId v = lo + 1; v < hi; ++v) {
+      p.network.add_edge(v, lo + static_cast<NodeId>(rng.index(static_cast<std::size_t>(v - lo))),
+                         rng.uniform(0.5, 4.0));
+    }
+    for (std::size_t e = 0; e < span; ++e) {
+      const NodeId u = lo + static_cast<NodeId>(rng.index(span));
+      const NodeId v = lo + static_cast<NodeId>(rng.index(span));
+      if (u != v && p.network.find_edge(u, v) == graph::kInvalidEdge) {
+        p.network.add_edge(u, v, rng.uniform(0.5, 4.0));
+      }
+    }
+    if (b > 0) p.network.add_edge(lo - 1, lo, rng.uniform(6.0, 12.0));
+    const int vms = m / islands;
+    const int ds = dests / islands;
+    const auto picks = rng.sample_without_replacement(span, static_cast<std::size_t>(vms + 1 + ds));
+    std::size_t k = 0;
+    for (int i = 0; i < vms; ++i, ++k) {
+      const auto v = static_cast<std::size_t>(lo) + picks[k];
+      p.is_vm[v] = 1;
+      p.node_cost[v] = rng.uniform(0.5, 5.0);
+    }
+    p.sources.push_back(lo + static_cast<NodeId>(picks[k++]));
+    for (int i = 0; i < ds; ++i, ++k) p.destinations.push_back(lo + static_cast<NodeId>(picks[k]));
+  }
+  p.chain_length = chain;
+  return p;
+}
+
+/// Rounds every link and setup cost up to a whole number: equal-cost paths
+/// and chains everywhere, so tie-breaks — and with them the numbering of
+/// Ĝ — decide the forest.
+void integral_costs(Problem& p) {
+  for (EdgeId e = 0; e < p.network.edge_count(); ++e) {
+    p.network.set_edge_cost(e, std::ceil(p.network.edge(e).cost));
+  }
+  for (Cost& c : p.node_cost) c = std::ceil(c);
+}
+
+/// Multi-source instances with |C| = 1, 2, 3 on SoftLayer-sized graphs (27
+/// access nodes + 8 VMs) and 200-node graphs: random ones with real costs,
+/// island-shaped ones with whole-number costs; then the conflict instance.
+std::vector<Problem> digest_instances() {
+  std::vector<Problem> out;
+  for (int i = 0; i < 12; ++i) {
+    const auto seed = static_cast<std::uint64_t>(i);
+    const int chain = 1 + i % 3;
+    const int extra = i % 4 / 2;  // one more source
+    const bool islands = i % 2 == 1;
+    const auto make = islands ? islands_problem : random_problem;
+    Problem small = make(9000 + seed, 35, 8, 2 + extra, 6, chain);
+    Problem big = make(9100 + seed, 200, 20, 3 + extra, 12, chain);
+    if (islands) {
+      integral_costs(small);
+      integral_costs(big);
+    }
+    out.push_back(std::move(small));
+    out.push_back(std::move(big));
+  }
+  out.push_back(vnf_conflict_problem());
+  return out;
+}
+
+// Pins SOFDA's output bitwise, under the default Mehlhorn heuristic and
+// under KMB: a change to how the auxiliary graph Ĝ is numbered (duplicate
+// order, virtual-edge ids) or how its tree is read back can move Steiner
+// tie-breaks and forests without breaking feasibility, which every other
+// test here would accept.  Recorded once; a change that must stay bitwise
+// neutral may not move it.
+TEST(Sofda, ForestDigestsPinned) {
+  Fnv1a h;
+  int feasible = 0;
+  int multi_tree = 0;
+  for (const steiner::Algorithm algo : {steiner::Algorithm::kMehlhorn, steiner::Algorithm::kKmb}) {
+    AlgoOptions opt;
+    opt.steiner = algo;
+    for (const Problem& p : digest_instances()) {
+      SofdaStats stats;
+      const ServiceForest f = sofda(p, opt, &stats);
+      if (!f.empty()) {
+        ++feasible;
+        EXPECT_TRUE(is_feasible(p, f)) << validate(p, f).summary();
+      }
+      if (stats.deployed_chains >= 2) ++multi_tree;
+      add_forest(h, f, stats);
+    }
+  }
+  EXPECT_EQ(feasible, 50);
+  EXPECT_GE(multi_tree, 12);  // the digest covers forests, not just trees
+  EXPECT_EQ(h.value(), 0x90b0c9f5d76b076aULL);
+}
+
+// Both candidate feeds solve the same Ĝ: the span overload over a pricing
+// session's view into its table (the cached solves) and the value overload
+// over price_candidate_chains (from-scratch pricing, the multi-controller
+// merge) give the same forest and stats as sofda() itself.
+TEST(Sofda, ViewAndValueCandidatesSolveAlike) {
+  for (const Problem& p : digest_instances()) {
+    std::vector<NodeId> hubs = p.vms();
+    hubs.insert(hubs.end(), p.sources.begin(), p.sources.end());
+    const graph::MetricClosure closure(p.network, hubs);
+    PricingSession session;
+    session.refresh(p, closure, p.sources, ClosureUpdate::rebuilt(), {});
+    const std::vector<const ChainPlan*> view = session.chains(p.sources);
+    const std::vector<PricedChain> values = price_candidate_chains(p, closure, p.sources);
+
+    SofdaStats view_stats;
+    SofdaStats value_stats;
+    SofdaStats sofda_stats;
+    Fnv1a from_view;
+    Fnv1a from_values;
+    Fnv1a from_sofda;
+    add_forest(from_view, sofda_from_candidates(p, closure, view, {}, &view_stats), view_stats);
+    add_forest(from_values, sofda_from_candidates(p, closure, values, {}, &value_stats),
+               value_stats);
+    add_forest(from_sofda, sofda(p, {}, &sofda_stats), sofda_stats);
+    EXPECT_EQ(from_view.value(), from_values.value());
+    EXPECT_EQ(from_view.value(), from_sofda.value());
+  }
 }
 
 TEST(Sofda, DeterministicAcrossRuns) {
