@@ -7,18 +7,17 @@
 // Pipeline threads: N worker threads plus the caller of run(), which
 // serves as both epoch publisher and commit stage.  One mutex guards all
 // shared state; workers claim queued slots, solve them OUTSIDE the lock
-// against private Problem replicas (synced once per epoch from the
-// published EdgeCostDelta batch), the shared read-only closure epoch and
-// the epoch's priced chains, and post results back.  The publisher
-// mutates shared state (master Problem, ledger, publisher closure and
-// pricing table) only while every worker is parked — the `publishing`
-// flag blocks new claims and the `active` counter drains in-flight solves
-// — so the snapshot workers read is immutable by construction, not by
-// convention.  While parked, the workers are the publisher's
-// util::LaneRunner: the closure publish and the epoch's pricing each run
-// on N + 1 lanes, lane 0 on the publisher and one posted lane per woken
-// worker.  Every source of the epoch is priced once there, so no two
-// workers price the same chain (DESIGN.md §10).
+// against private Problem replicas (synced from the master's prices at
+// claim time), the publisher's read-only closure and the epoch's priced
+// chains, and post results back.  The publisher mutates shared state
+// (master Problem, ledger, publisher closure and pricing table) only while
+// every worker is parked — the `publishing` flag blocks new claims and the
+// `active` counter drains in-flight solves — so what workers read is
+// immutable by construction, not by convention.  While parked, the
+// workers are the publisher's util::LaneRunner: the closure publish and
+// the epoch's pricing each run on N + 1 lanes, lane 0 on the publisher and
+// one posted lane per woken worker.  Every source of the epoch is priced
+// once there, so no two workers price the same chain (DESIGN.md §10).
 //
 // Determinism: slots commit in arrival order against the same epoch
 // snapshots the sequential driver uses, and every number that enters the
@@ -34,7 +33,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -155,17 +153,6 @@ struct Pipeline::Impl final : util::LaneRunner {
   int next_lane = 0;
   int lanes_done = 0;
 
-  // One entry per published epoch: payloads[g] is the snapshot advance
-  // from generation g to g + 1.  Workers fold the batches they missed
-  // into their replicas at claim time (under mu; O(moved links) per
-  // epoch), which is how "ONE EdgeCostDelta batch per epoch" reaches
-  // every worker-side repair and pricing invalidation.
-  struct Payload {
-    std::vector<graph::EdgeCostDelta> deltas;
-    std::vector<Cost> node_cost;  // full post-refresh vector (VM setups)
-  };
-  std::deque<Payload> payloads;
-
   // The published closure epoch, copied by workers at claim time.  Only
   // meaningful when use_epoch (the solver family solves against shared
   // closures); rewritten by the publisher while quiesced.  With
@@ -208,9 +195,8 @@ struct Pipeline::Impl final : util::LaneRunner {
 
 void Pipeline::Impl::worker_main(Problem replica) {
   // Worker-private solver session and Problem replica: the replica starts
-  // at the pre-stream master and advances one published delta batch per
-  // epoch, so its prices are bitwise the epoch snapshot's at the claimed
-  // generation.
+  // at the pre-stream master and catches up with the master's prices at
+  // its first claim of each generation, so they are bitwise the epoch's.
   const auto solver = api::make_solver(solver_name, opt);
   std::uint64_t synced = 0;
 
@@ -230,15 +216,17 @@ void Pipeline::Impl::worker_main(Problem replica) {
     const api::ClosureEpoch epoch_copy = epoch;
     ++active;
 
-    // Replica sync under the lock (payloads grow only under mu): apply
-    // every delta batch published since this worker last priced.
-    while (synced < generation) {
-      const Payload& pl = payloads[static_cast<std::size_t>(synced)];
-      for (const graph::EdgeCostDelta& d : pl.deltas) {
-        replica.network.set_edge_cost(d.edge, d.new_cost);
+    // Replica sync under the lock: copy the link costs that differ and
+    // the VM setup costs from the master, whose prices stay frozen until
+    // the next publish — and that publish waits for this solve.
+    if (synced < generation) {
+      const Problem& master = stream.master();
+      for (graph::EdgeId e = 0; e < master.network.edge_count(); ++e) {
+        const Cost cost = master.network.edge(e).cost;
+        if (replica.network.edge(e).cost != cost) replica.network.set_edge_cost(e, cost);
       }
-      replica.node_cost = pl.node_cost;
-      ++synced;
+      replica.node_cost = master.node_cost;
+      synced = generation;
     }
     const Request& req = stream.request(r);
     const double queue_seconds =
@@ -314,10 +302,7 @@ int Pipeline::Impl::publish_epoch(int first) {
   // Every worker is parked: shared state is ours to mutate.
   if (use_epoch) publisher.retire();
 
-  Payload pl;
-  const int count = stream.open_epoch(first, &pl.deltas);
-  pl.node_cost = stream.master().node_cost;
-  payloads.push_back(std::move(pl));
+  const int count = stream.open_epoch(first);
   ++generation;
 
   if (use_epoch) {

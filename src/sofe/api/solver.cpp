@@ -19,6 +19,7 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
                                   const ClosureRequest& req, const graph::MetricClosure* stored,
                                   bool reusable, bool match_targets, SolveReport& report,
                                   const RepairFn& repair, const RebuildFn& rebuild) {
+  assert(!published_ && "retire() the published epoch before the next acquire");
   report.closure_hubs = static_cast<int>(hubs.size());
   // Incremental unbounded sessions key on hub membership and may repair;
   // the rest key on the exact hub sequence and only hit or rebuild.
@@ -180,18 +181,14 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
 ClosureEpoch ClosureSession::publish(const graph::Graph& g, const std::vector<NodeId>& hubs,
                                      const ClosureRequest& req, SolveReport& report) {
   // The outcome acquire records (hit / repair / rebuild) becomes the
-  // epoch's snapshot advance; the snapshot itself shares row slabs with
-  // the live closure copy-on-write (DESIGN.md §13), so publishing costs
-  // O(rows) reference copies — not a deep copy of O(rows · V) trees.
-  // Publishing over an un-retired epoch replaces it (the old handle's
-  // rows are released first); retire() between publishes keeps the
-  // intervening repair writing in place instead of relocating.
+  // epoch's advance, and the epoch reads the live closure itself: the
+  // caller retires before the next acquire, so nothing writes it while
+  // the epoch is out.
   (void)acquire(g, hubs, req, report);
-  closure_.snapshot_to(epoch_closure_);
   published_ = true;
   ++generation_;
   ClosureEpoch epoch;
-  epoch.closure = &epoch_closure_;
+  epoch.closure = &closure_;
   epoch.update = last_update();
   epoch.generation = generation_;
   return epoch;

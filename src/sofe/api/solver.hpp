@@ -160,15 +160,16 @@ struct ClosureRequest {
   util::LaneRunner* runner = nullptr;
 };
 
-/// A published read-only closure epoch (DESIGN.md §10): the immutable
-/// snapshot handle the admission pipeline's worker sessions solve against.
-/// Produced by ClosureSession::publish, consumed by Solver::solve_epoch.
-/// The closure pointer and the update spans stay valid — and safe for any
-/// number of concurrent readers — until the publishing session's retire().
+/// A published read-only closure epoch (DESIGN.md §10): the handle the
+/// admission pipeline's worker sessions solve against.  Produced by
+/// ClosureSession::publish, consumed by Solver::solve_epoch.  The closure
+/// is the publishing session's own; it, and the update spans, stay valid
+/// and unchanged — safe for any number of concurrent readers — until that
+/// session's retire().
 struct ClosureEpoch {
   const graph::MetricClosure* closure = nullptr;
-  /// The snapshot advance from the previous epoch to this one, in the
-  /// shape core::PricingSession consumes: what publish()'s acquire did.
+  /// The advance from the previous epoch to this one, in the shape
+  /// core::PricingSession consumes: what publish()'s acquire did.
   core::ClosureUpdate update;
   /// Monotone per-publisher epoch counter (1 = first publish), for
   /// PricingSession::price_epoch, which dedups the update by generation
@@ -261,35 +262,20 @@ class ClosureSession {
     return u;
   }
 
-  /// Drops the cached closure (the next acquire rebuilds).  A published
-  /// epoch is unaffected: it holds its own row references.
-  void invalidate() {
-    valid_ = false;
-    sharded_valid_ = false;
-  }
-
   /// Publishes the session closure as a read-only epoch (DESIGN.md §10):
-  /// acquires exactly as acquire() would — hit, repair or rebuild — then
-  /// snapshots the result by sharing row slabs copy-on-write
-  /// (MetricClosure::snapshot_to, §13): O(rows) reference copies and slab
-  /// pins, never a deep copy.  The handle N pipeline workers may query
-  /// concurrently stays bitwise frozen even while the live session keeps
-  /// acquiring — a repair relocates any row an epoch still pins before
-  /// writing it — so publish/acquire no longer exclude each other; the
-  /// caller must merely not mutate `g` while a reader is mid-query.
+  /// acquires exactly as acquire() would — hit, repair or rebuild — and
+  /// hands out the session's own closure, so publishing copies nothing.
+  /// The epoch is read-only until retire(): any number of threads may
+  /// query it concurrently, and every acquire or publish on this session
+  /// before retire() fails an assert, because it would rewrite the rows
+  /// the readers see.
   ClosureEpoch publish(const graph::Graph& g, const std::vector<NodeId>& hubs,
                        const ClosureRequest& req, SolveReport& report);
 
-  /// Ends the published epoch's sharing phase: drops the snapshot's row
-  /// references and unpins its slabs (the caller guarantees no reader
-  /// still dereferences the handle).  The cached closure itself is
-  /// retained, so the next publish() repairs instead of rebuilding — and
-  /// retiring BEFORE the next publish keeps that repair in place rather
-  /// than copy-on-write.
-  void retire() noexcept {
-    epoch_closure_.release_rows();
-    published_ = false;
-  }
+  /// Ends the published epoch's read phase (the caller guarantees no
+  /// reader still dereferences the handle).  The cached closure is kept,
+  /// so the next publish() repairs it in place instead of rebuilding.
+  void retire() noexcept { published_ = false; }
 
  private:
   /// The cache decision both acquires share: compares the exact key with
@@ -309,7 +295,6 @@ class ClosureSession {
                     const RebuildFn& rebuild);
 
   graph::MetricClosure closure_;
-  graph::MetricClosure epoch_closure_;  // the published snapshot's row refs
   graph::ShortestPathEngine engine_;
   std::unique_ptr<dist::ShardedClosure> sharded_;  // sharded-mode cache (lazy)
   bool valid_ = false;

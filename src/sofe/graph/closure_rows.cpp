@@ -16,12 +16,10 @@ void RowStore::reset(std::size_t node_count) {
 RowStore::DistRef RowStore::alloc_dist() {
   // Recycle newest-freed-first: the common retain/extend churn then reuses
   // the very rows it just dropped, keeping the hot set in the same slabs.
-  for (std::size_t i = free_dist_.size(); i-- > 0;) {
-    if (free_dist_[i].slab->pins == 0) {
-      DistRef ref = std::move(free_dist_[i]);
-      free_dist_.erase(free_dist_.begin() + static_cast<std::ptrdiff_t>(i));
-      return ref;
-    }
+  if (!free_dist_.empty()) {
+    DistRef ref = std::move(free_dist_.back());
+    free_dist_.pop_back();
+    return ref;
   }
   if (open_dist_ == nullptr || open_dist_used_ == kRowsPerSlab) {
     open_dist_ = std::make_shared<DistSlab>();
@@ -34,12 +32,10 @@ RowStore::DistRef RowStore::alloc_dist() {
 }
 
 RowStore::IdxRef RowStore::alloc_idx() {
-  for (std::size_t i = free_idx_.size(); i-- > 0;) {
-    if (free_idx_[i].slab->pins == 0) {
-      IdxRef ref = std::move(free_idx_[i]);
-      free_idx_.erase(free_idx_.begin() + static_cast<std::ptrdiff_t>(i));
-      return ref;
-    }
+  if (!free_idx_.empty()) {
+    IdxRef ref = std::move(free_idx_.back());
+    free_idx_.pop_back();
+    return ref;
   }
   if (open_idx_ == nullptr || open_idx_used_ == kRowsPerSlab) {
     open_idx_ = std::make_shared<IdxSlab>();

@@ -4,7 +4,7 @@
 // A closure row is one hub's shortest-path tree stored structure-of-arrays:
 // a dist row of node_count Cost entries and an idx row of 2 * node_count
 // int32 entries (parents first, then parent edges).  Rows live inside
-// fixed-capacity slabs shared through shared_ptr, which buys three things
+// fixed-capacity slabs shared through shared_ptr, which buys two things
 // over the per-tree std::vector layout this replaces:
 //
 //   * builds and refreshes write cache-linearly into a handful of large
@@ -13,18 +13,13 @@
 //   * rows can alias: a zero-cost tap's dist row IS its host's dist row
 //     bit for bit (0 + d == d), so tap hubs share the host's dist slab row
 //     and pay only for their 2n-int32 idx row — the dominant share of a
-//     SOFDA hub set (vms_per_dc taps per DC) at roughly half the bytes;
-//   * published closure epochs (api::ClosureSession::publish) snapshot by
-//     copying row references and pinning their slabs, instead of deep
-//     copies.  The live closure copies a row out of a pinned slab before
-//     its next in-place write (copy-on-write), so an epoch's rows stay
-//     bitwise frozen while the live side keeps repairing.
+//     SOFDA hub set (vms_per_dc taps per DC) at roughly half the bytes.
 //
-// Threading contract: allocation, release, pinning and copy-on-write all
-// happen in single-threaded planning phases (MetricClosure's serial
-// sections, the session's publish/retire).  Parallel build/refresh workers
-// only write through row pointers handed out by the plan — slabs are
-// allocated at full capacity up front, so those pointers are stable.
+// Threading contract: allocation and release happen in single-threaded
+// planning phases (MetricClosure's serial sections).  Parallel
+// build/refresh workers only write through row pointers handed out by the
+// plan — slabs are allocated at full capacity up front, so those pointers
+// are stable.
 
 #include <cstdint>
 #include <memory>
@@ -37,20 +32,16 @@ namespace sofe::graph {
 
 class RowStore {
  public:
-  /// Rows per slab.  Small enough that retain()-evicted working sets free
-  /// whole slabs eventually, large enough that a Cogent-scale closure sits
-  /// in a handful of allocations.
+  /// Rows per slab: large enough that a Cogent-scale closure sits in a
+  /// handful of allocations.  Slabs are never returned early: a freed row
+  /// waits on the free list, which keeps its slab alive, so a store holds
+  /// its high-water mark of rows until reset() changes the row width (or
+  /// the closure is destroyed).
   static constexpr std::size_t kRowsPerSlab = 8;
 
   template <typename T>
   struct Slab {
     std::vector<T> data;  // sized at creation; never reallocates
-    /// Published-epoch pin count (ClosureSession::publish snapshots).  A
-    /// pinned slab's existing rows are read-only for the live closure:
-    /// in-place writes relocate first (copy-on-write), and freed rows in
-    /// it are not recycled until every pin is released.  Mutated only on
-    /// the single-threaded publish/plan path.
-    int pins = 0;
   };
   using DistSlab = Slab<Cost>;
   using IdxSlab = Slab<std::int32_t>;
@@ -75,21 +66,19 @@ class RowStore {
   };
 
   /// (Re)binds the store to a row width of `node_count` entries.  A width
-  /// change drops the open slabs and free lists — outstanding epoch
-  /// references keep their slabs alive through their own shared_ptrs.
+  /// change drops the open slabs and free lists.
   void reset(std::size_t node_count);
 
   std::size_t node_count() const noexcept { return n_; }
 
-  /// Allocates a row, preferring a freed row whose slab holds no epoch
-  /// pins, else carving from the open slab.  Contents are unspecified
-  /// (every caller fully overwrites).
+  /// Allocates a row, preferring the most recently freed one, else carving
+  /// from the open slab.  Contents are unspecified (every caller fully
+  /// overwrites).
   DistRef alloc_dist();
   IdxRef alloc_idx();
 
-  /// Returns a row to the free list.  The caller guarantees no other live
-  /// closure row references it; epoch snapshots may still — the row is
-  /// simply not recycled until its slab's pins drop to zero.
+  /// Returns a row to the free list.  The caller guarantees no other
+  /// closure row references it.
   void release(DistRef ref);
   void release(IdxRef ref);
 

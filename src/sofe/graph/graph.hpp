@@ -190,13 +190,6 @@ class Graph {
     return u < v ? std::pair{u, v} : std::pair{v, u};
   }
 
-  /// Total cost of all edges (diagnostics).
-  Cost total_edge_cost() const {
-    Cost sum = 0.0;
-    for (const Edge& e : edges_) sum += e.cost;
-    return sum;
-  }
-
  private:
   /// CSR cache.  Copying a Graph deliberately drops the cache (copies are
   /// usually mutated immediately — SOFDA's auxiliary graph, the online

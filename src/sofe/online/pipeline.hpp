@@ -51,8 +51,8 @@ struct PipelineOptions {
 /// may be called once.  Construction validates the OnlineConfig
 /// (std::invalid_argument on nonsense) and resolves `solver_name` against
 /// the global SolverRegistry — each worker owns a private solver session
-/// built from these options, plus a private Problem replica advanced by
-/// the per-epoch delta batch.
+/// built from these options, plus a private Problem replica that copies
+/// the master's moved prices at its first claim of each epoch.
 class Pipeline {
  public:
   Pipeline(const topology::Topology& topo, const OnlineConfig& cfg, std::string solver_name,

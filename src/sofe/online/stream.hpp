@@ -76,12 +76,12 @@ struct SlotOutcome {
 /// FailureEvents compile into a time-sorted toggle schedule at
 /// construction; open_epoch fires every toggle due in the epoch BEFORE the
 /// price refresh, so a failed link simply refreshes to kInfiniteCost and a
-/// healed one back to its ledger price — ordinary entries in the epoch's
-/// EdgeCostDelta batch, which is how the drill reaches solver sessions and
-/// pipeline worker replicas without any extra machinery.  After the
-/// refresh, every live embedding charged across a newly-failed link is
-/// recovered (resilience::recover_request) under the configured budget,
-/// still inside open_epoch — i.e. while the pipeline's workers are parked —
+/// healed one back to its ledger price — ordinary price moves (entries in
+/// the epoch's EdgeCostDelta batch), which is how the drill reaches solver
+/// sessions and pipeline worker replicas without any extra machinery.
+/// After the refresh, every live embedding charged across a newly-failed
+/// link is recovered (resilience::recover_request) under the configured
+/// budget, still inside open_epoch — i.e. while the pipeline's workers are parked —
 /// which keeps the drill deterministic at every worker count.
 class ArrivalStream {
  public:

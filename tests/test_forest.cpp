@@ -256,8 +256,9 @@ TEST(Shorten, ClosureOverloadMatchesSegmentStartClosure) {
 
       api::SolveReport published, moved;
       api::ClosureSession publisher;
-      const api::ClosureEpoch epoch = publisher.publish(p.network, hubs, req, published);
-      publisher.acquire(shifted.network, hubs, req, moved);
+      publisher.publish(shifted.network, hubs, req, published);
+      publisher.retire();
+      const api::ClosureEpoch epoch = publisher.publish(p.network, hubs, req, moved);
       ASSERT_TRUE(moved.closure_repaired) << label;
       expect_closure_shortening(p, *epoch.closure, raw, expected, label + " epoch");
       publisher.retire();

@@ -1,7 +1,8 @@
 // SOFDA (Algorithm 2) tests: feasibility across instance shapes, multi-tree
 // advantage (the paper's Fig. 1 motivation), the 3ρST envelope against the
-// exact solver, the Lemma-2 Steiner-certificate bound, and a recorded
-// digest of the forests and stats SOFDA produces on fixed instances.
+// exact solver, the Lemma-2 Steiner-certificate bound, Procedure 4's three
+// conflict cases on instances that reach them, and recorded digests of the
+// forests and stats SOFDA produces on fixed instances.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "sofe/core/sofda_ss.hpp"
 #include "sofe/core/validate.hpp"
 #include "sofe/exact/solver.hpp"
+#include "sofe/topology/topology.hpp"
 #include "sofe/util/rng.hpp"
 
 namespace sofe::core {
@@ -166,10 +168,10 @@ TEST_P(SofdaEnvelope, WithinSixTimesOptimal) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SofdaEnvelope, ::testing::Range(1, 21));
 
-/// Engineered crossing chains: two sources on opposite sides of a shared
-/// VM pair — virtual edges overlap and Procedure 4 must kick in or the
-/// shared VMs must agree on indices.
-Problem vnf_conflict_problem() {
+/// Two sources at opposite ends of a line of three VMs, one destination
+/// off each end VM.  SOFDA serves both destinations from one chain, so no
+/// VNF conflict arises (Procedure4Cases covers conflicts).
+Problem two_sided_sources_problem() {
   Problem p;
   p.network = Graph(8);
   p.network.add_edge(0, 2, 1.0);
@@ -187,12 +189,14 @@ Problem vnf_conflict_problem() {
   return p;
 }
 
-TEST(Sofda, VnfConflictInstanceResolvedFeasibly) {
-  const Problem p = vnf_conflict_problem();
+TEST(Sofda, TwoSidedSourcesServedByOneChain) {
+  const Problem p = two_sided_sources_problem();
   SofdaStats stats;
   const auto f = sofda(p, {}, &stats);
   ASSERT_FALSE(f.empty());
   EXPECT_TRUE(is_feasible(p, f)) << validate(p, f).summary();
+  EXPECT_EQ(stats.deployed_chains, 1);
+  EXPECT_EQ(stats.conflicts.total_resolved(), 0);
   EXPECT_EQ(stats.rehomed_destinations, 0);
 }
 
@@ -292,7 +296,8 @@ void integral_costs(Problem& p) {
 
 /// Multi-source instances with |C| = 1, 2, 3 on SoftLayer-sized graphs (27
 /// access nodes + 8 VMs) and 200-node graphs: random ones with real costs,
-/// island-shaped ones with whole-number costs; then the conflict instance.
+/// island-shaped ones with whole-number costs; then the two-sided-sources
+/// instance.
 std::vector<Problem> digest_instances() {
   std::vector<Problem> out;
   for (int i = 0; i < 12; ++i) {
@@ -310,7 +315,7 @@ std::vector<Problem> digest_instances() {
     out.push_back(std::move(small));
     out.push_back(std::move(big));
   }
-  out.push_back(vnf_conflict_problem());
+  out.push_back(two_sided_sources_problem());
   return out;
 }
 
@@ -341,6 +346,47 @@ TEST(Sofda, ForestDigestsPinned) {
   EXPECT_EQ(feasible, 50);
   EXPECT_GE(multi_tree, 12);  // the digest covers forests, not just trees
   EXPECT_EQ(h.value(), 0x90b0c9f5d76b076aULL);
+}
+
+// Procedure 4 where it fires: SOFDA on SoftLayer instances of the paper's
+// set-up at |C| = 3 (topology::make_problem).  Seeds 5048, 5005 and 5062
+// deploy chains whose VNFs conflict and reach cases 1, 2 and 3; 5062 also
+// requeues a committed chain.  Each forest must stay valid and within
+// Theorem 3's 3ρST·OPT (6·OPT under Mehlhorn) of the optimum the exact
+// solver proves; the digest pins the forests and stats, recorded once.
+TEST(Sofda, Procedure4Cases) {
+  struct Case {
+    std::uint64_t seed;
+    int ConflictStats::*count;
+    const char* name;
+  };
+  const Case cases[] = {{5048, &ConflictStats::case1, "case 1"},
+                        {5005, &ConflictStats::case2, "case 2"},
+                        {5062, &ConflictStats::case3, "case 3"}};
+  Fnv1a h;
+  for (const Case& c : cases) {
+    topology::ProblemConfig cfg;
+    cfg.chain_length = 3;
+    cfg.seed = c.seed;
+    const Problem p = topology::make_problem(topology::softlayer(), cfg);
+    SofdaStats stats;
+    const ServiceForest f = sofda(p, {}, &stats);
+    ASSERT_FALSE(f.empty()) << "seed " << c.seed;
+    EXPECT_GE(stats.conflicts.*c.count, 1) << "seed " << c.seed << " no longer reaches " << c.name;
+    if (c.seed == 5062) {
+      EXPECT_GE(stats.conflicts.requeued, 1);
+    }
+    const ValidationReport v = validate(p, f);
+    EXPECT_TRUE(v.ok) << "seed " << c.seed << ": " << v.summary();
+
+    const auto exact = exact::solve_exact(p);
+    ASSERT_TRUE(exact.optimal) << "seed " << c.seed;
+    const Cost cost = total_cost(p, f);
+    EXPECT_GE(cost + 1e-9, exact.cost) << "seed " << c.seed;
+    EXPECT_LE(cost, 6.0 * exact.cost + 1e-9) << "seed " << c.seed << ": 3·ρST bound violated";
+    add_forest(h, f, stats);
+  }
+  EXPECT_EQ(h.value(), 0x360c072fee409877ULL);
 }
 
 // Both candidate feeds solve the same Ĝ: the span overload over a pricing
