@@ -162,13 +162,13 @@ DrillPoint run_point(const sofe::topology::Topology& topo, sofe::online::OnlineC
   if (quality_n > 0) pt.quality_vs_scratch = quality_sum / quality_n;
 
   if (budget < 0) {
-    // The from-scratch reference drill: a cold session that rebuilds
-    // closures and re-prices every chain.  The warm incremental drill above
-    // must reproduce it bit for bit — recoveries included — or the
-    // resilience layer leaked session state into results.
+    // The from-scratch reference drill: a strict session that rebuilds its
+    // closure, and so re-prices every chain, whenever anything changed.
+    // The warm incremental drill above must reproduce it bit for bit —
+    // recoveries included — or the resilience layer leaked session state
+    // into results.
     sofe::api::SolverOptions cold_opt;
     cold_opt.incremental = false;
-    cold_opt.incremental_pricing = false;
     auto cold = sofe::api::make_solver("sofda", cold_opt);
     const auto reference = simulate(topo, cfg, *cold);
     pt.identical_to_reference = series_identical(r, reference) && recoveries_identical(r, reference);

@@ -159,7 +159,7 @@ struct Pipeline::Impl final : util::LaneRunner {
   // price_epochs it also carries the publisher's pricing table.
   api::ClosureEpoch epoch;
   bool use_epoch = false;
-  bool price_epochs = false;  // use_epoch, incremental_pricing and |C| >= 1
+  bool price_epochs = false;  // use_epoch and |C| >= 1
 
   struct Slot {
     bool ready = false;
@@ -329,10 +329,6 @@ int Pipeline::Impl::publish_epoch(int first) {
     req.threads = workers + 1;
     req.runner = this;
     req.incremental = opt.incremental;
-    // Epoch closures are always unbounded: truncated trees cannot be
-    // repaired per epoch, and the re-homing fallback queries
-    // hub-to-destination rows for arbitrary queued requests.
-    req.bounded = false;
     api::SolveReport publish_report;
     // The lanes reach the workers through mu; `publishing` still holds
     // every slot claim back while it is released.
@@ -432,8 +428,7 @@ OnlineResult Pipeline::Impl::run() {
     const auto probe = api::make_solver(solver_name, opt);
     result.algorithm = std::string(probe->name());
     use_epoch = probe->wants_epoch_closure();
-    price_epochs = use_epoch && probe->options().incremental_pricing &&
-                   stream.master().chain_length >= 1;
+    price_epochs = use_epoch && stream.master().chain_length >= 1;
     price_opt = probe->options().algo();
   }
   result.workers = workers;

@@ -17,12 +17,11 @@ namespace {
 
 /// SOFDA as a session: the closure over {VMs} ∪ {sources} persists across
 /// solves (hub order matches core::sofda, so results are bit-identical to
-/// the free function), pricing fans out over SolverOptions::threads, and —
-/// with SolverOptions::incremental_pricing — the chain cache rides the
-/// closure session's change stream so a repaired arrival re-prices only
-/// the touched chains, and the solve reads them in place (DESIGN.md §9).
-/// solve_epoch reads the publisher's table in place instead and touches
-/// neither cache (§10).
+/// the free function), pricing fans out over SolverOptions::threads, and
+/// the chain cache rides the closure session's change stream so a repaired
+/// arrival re-prices only the touched chains, and the solve reads them in
+/// place (DESIGN.md §9).  solve_epoch reads the publisher's table in place
+/// instead and touches neither cache (§10).
 class SofdaSolver final : public Solver {
  public:
   SofdaSolver(SolverOptions opt, std::string name) : Solver(opt), name_(std::move(name)) {}
@@ -43,25 +42,14 @@ class SofdaSolver final : public Solver {
     ClosureRequest req;
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
-    req.bounded = opt_.bounded_closure;
-    // Pricing and chain lifting query hub-to-hub only; the re-homing
-    // fallback and shortening additionally query hub-to-destination — so
-    // destinations complete the settle scope of a bounded closure.
-    req.settle_targets = p.destinations;
     const auto& closure = session_.acquire(p.network, hubs, req, r);
-    if (!opt_.incremental_pricing) {
-      // Closure changes now go unobserved: restart the cache cold if the
-      // knob is ever flipped back on.
-      pricing_.invalidate();
-    }
-    const auto cached_view = [&](core::PricingTally& tally) {
+    return price_and_solve(p, closure, r, [&](core::PricingTally& tally) {
       // The pricing cache must observe every closure change exactly once;
       // acquire() just ran, so last_update() is this solve's delta.
       pricing_.refresh(p, closure, p.sources, session_.last_update(), opt_.algo(), opt_.threads,
                        &tally);
       return pricing_.chains(p.sources);
-    };
-    return price_and_solve(p, closure, opt_.incremental_pricing, r, cached_view);
+    });
   }
 
   ServiceForest do_solve_epoch(const Problem& p, const ClosureEpoch& epoch,
@@ -81,8 +69,8 @@ class SofdaSolver final : public Solver {
     r.closure_hubs = static_cast<int>(closure.hub_count());
     r.closure_cache_hit = epoch.update.kind == core::ClosureUpdate::Kind::kUnchanged;
     r.closure_repaired = epoch.update.kind == core::ClosureUpdate::Kind::kRepaired;
-    const bool cached = opt_.incremental_pricing && epoch.pricing != nullptr;
-    return price_and_solve(p, closure, cached, r, [&](core::PricingTally&) {
+    assert(epoch.pricing != nullptr && "an epoch solve reads the publisher's pricing table");
+    return price_and_solve(p, closure, r, [&](core::PricingTally&) {
       // Priced once per epoch by the publisher (DESIGN.md §10): this solve
       // reads its sources' chains in place and re-prices nothing.
       return epoch.pricing->chains(p.sources);
@@ -90,30 +78,23 @@ class SofdaSolver final : public Solver {
   }
 
  private:
-  /// The tail both entry points share: take the candidate chains — in
-  /// place from `cached_view` (pointers into a pricing table) when
-  /// `cached`, else priced from scratch against `closure` — then run
+  /// The tail both entry points share: take the candidate chains in place
+  /// from `chains_view` (pointers into a pricing table), then run
   /// sofda_from_candidates over them.
-  template <typename CachedViewFn>
+  template <typename ChainsViewFn>
   ServiceForest price_and_solve(const Problem& p, const graph::MetricClosure& closure,
-                                bool cached, SolveReport& r, const CachedViewFn& cached_view) {
+                                SolveReport& r, const ChainsViewFn& chains_view) {
     util::Stopwatch watch;
-    const auto solve = [&](const auto& candidates) {
-      r.pricing_seconds = watch.seconds();
-      watch.reset();
-      ServiceForest f = core::sofda_from_candidates(p, closure, candidates, opt_.algo(), &r.sofda);
-      r.solve_seconds = watch.seconds();
-      return f;
-    };
-    if (!cached) {
-      return solve(core::price_candidate_chains(p, closure, p.sources, opt_.algo(), opt_.threads));
-    }
     core::PricingTally tally;
-    const std::vector<const core::ChainPlan*> candidates = cached_view(tally);
+    const std::vector<const core::ChainPlan*> candidates = chains_view(tally);
     r.pricing_hits = tally.hits;
     r.pricing_repriced = tally.repriced;
     r.pricing_flushed = tally.flushed;
-    return solve(candidates);
+    r.pricing_seconds = watch.seconds();
+    watch.reset();
+    ServiceForest f = core::sofda_from_candidates(p, closure, candidates, opt_.algo(), &r.sofda);
+    r.solve_seconds = watch.seconds();
+    return f;
   }
 
   std::string name_;
@@ -138,11 +119,6 @@ class SofdaSsSolver final : public Solver {
     ClosureRequest req;
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
-    // Chain planning queries hub-to-hub, but shortening reads each
-    // segment's tree toward its end — a VM or a destination — so
-    // destinations complete the settle scope of a bounded closure.
-    req.bounded = opt_.bounded_closure;
-    req.settle_targets = p.destinations;
     const auto& closure = session_.acquire(p.network, hubs, req, r);
     util::Stopwatch watch;
     ServiceForest f = core::sofda_ss(p, source, closure, opt_.algo());
@@ -213,7 +189,6 @@ class DistSolver final : public Solver {
     ClosureRequest req;
     req.threads = opt_.threads;
     req.incremental = opt_.incremental;
-    req.bounded = opt_.bounded_closure;
     req.settle_targets = p.destinations;  // the sharded advertisement targets
     const dist::ShardedClosure& sc = session_.acquire_sharded(p.network, hubs, k, req, bus, r);
 

@@ -17,20 +17,19 @@ ClosureSession::~ClosureSession() = default;
 template <typename RepairFn, typename RebuildFn>
 void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeId>& hubs,
                                   const ClosureRequest& req, const graph::MetricClosure* stored,
-                                  bool reusable, bool match_targets, SolveReport& report,
-                                  const RepairFn& repair, const RebuildFn& rebuild) {
+                                  SolveReport& report, const RepairFn& repair,
+                                  const RebuildFn& rebuild) {
   assert(!published_ && "retire() the published epoch before the next acquire");
   report.closure_hubs = static_cast<int>(hubs.size());
-  // Incremental unbounded sessions key on hub membership and may repair;
-  // the rest key on the exact hub sequence and only hit or rebuild.
-  const bool membership = req.incremental && !req.bounded;
+  // Incremental sessions key on hub membership and may repair; strict
+  // ones key on the exact hub sequence and only hit or rebuild.
   const auto edges = g.edges();
 
   // Structural part of the key: node count + edge endpoints.  Costs are
   // compared edge by edge below, and the differing ones ARE the arc-delta
   // list the repair path consumes.
   const bool structure_same =
-      stored != nullptr && reusable && key_nodes_ == g.node_count() &&
+      stored != nullptr && key_nodes_ == g.node_count() &&
       key_edges_.size() == edges.size() &&
       std::equal(edges.begin(), edges.end(), key_edges_.begin(),
                  [](const graph::Edge& a, const graph::Edge& b) {
@@ -47,7 +46,7 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
                                                key_edges_[i].cost, edges[i].cost});
       }
     }
-    if (membership) {
+    if (req.incremental) {
       // Only hubs without a stored tree matter.  Extra stored hubs are
       // invisible to queries (each tree is independent); a repair drops
       // them before it refreshes.
@@ -56,14 +55,10 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
       }
       hubs_ok = missing_.empty();
     } else {
-      // Strict semantics: the exact hub sequence (and, when the targets
-      // shape the build, the exact settle-target sequence — a bounded
-      // truncation scope is part of what the cached trees mean).
-      hubs_ok = key_hubs_ == hubs &&
-                (!match_targets ||
-                 (key_targets_.size() == req.settle_targets.size() &&
-                  std::equal(key_targets_.begin(), key_targets_.end(),
-                             req.settle_targets.begin())));
+      // Strict semantics: the exact hub and settle-target sequences (a
+      // sharded closure's rows toward destinations are exact only for the
+      // targets it advertised toward).
+      hubs_ok = key_hubs_ == hubs && std::ranges::equal(key_targets_, req.settle_targets);
     }
   }
   report.closure_delta_edges = static_cast<int>(deltas_.size());
@@ -84,7 +79,7 @@ void ClosureSession::acquire_with(const graph::Graph& g, const std::vector<NodeI
   // with |hubs| * (V + E); past a quarter of the edges changing, affected
   // regions approach whole trees and the rebuild's sequential sweeps win.
   const bool repairable =
-      structure_same && membership && deltas_.size() * 4 <= edges.size();
+      structure_same && req.incremental && deltas_.size() * 4 <= edges.size();
   if (repairable) {
     // Rows live for the request that names them (DESIGN.md §13): the
     // repair keeps exactly `hubs`, so no refresh is spent on a row that
@@ -116,18 +111,14 @@ const graph::MetricClosure& ClosureSession::acquire(const graph::Graph& g,
                                                     const ClosureRequest& req,
                                                     SolveReport& report) {
   acquire_with(
-      g, hubs, req, valid_ ? &closure_ : nullptr, closure_.bounded() == req.bounded,
-      /*match_targets=*/req.bounded, report,
+      g, hubs, req, valid_ ? &closure_ : nullptr, report,
       [&] {
         closure_.retain(hubs);
         closure_.refresh(g, deltas_, req.threads, &engine_, &row_changes_, req.runner);
         if (!missing_.empty()) closure_.extend(g, missing_, req.threads, &engine_, req.runner);
       },
       [&] {
-        graph::ClosureScope scope;
-        scope.bounded = req.bounded;
-        scope.extra_targets = req.settle_targets;
-        closure_.build(g, hubs, req.threads, &engine_, scope, req.runner);
+        closure_.build(g, hubs, req.threads, &engine_, req.runner);
         valid_ = true;
         sharded_valid_ = false;  // the key storage no longer describes the sharded cache
       });
@@ -141,13 +132,10 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
   assert(controllers >= 1);
   // Same exact key as acquire(), plus the controller count: a different k
   // means a different partition, different borders, a different exchange —
-  // the cached shards describe nothing of the new deployment.  The settle
-  // targets are the advertisement targets, so they key bounded or not.
-  const bool cached = sharded_valid_ && sharded_ != nullptr;
+  // the cached shards describe nothing of the new deployment.
+  const bool cached = sharded_valid_ && sharded_ != nullptr && sharded_k_ == controllers;
   acquire_with(
-      g, hubs, req, cached ? &sharded_->closure() : nullptr,
-      cached && sharded_->bounded() == req.bounded && sharded_k_ == controllers,
-      /*match_targets=*/true, report,
+      g, hubs, req, cached ? &sharded_->closure() : nullptr, report,
       [&] {
         // Every re-exchanged row is charged on `bus` by the ShardedClosure
         // itself.  refresh clears `row_changes_` before filling it; extend
@@ -168,8 +156,7 @@ const dist::ShardedClosure& ClosureSession::acquire_sharded(
           bus.end_round();
         }
         if (sharded_ == nullptr) sharded_ = std::make_unique<dist::ShardedClosure>();
-        sharded_->build(g, std::move(part), hubs, req.settle_targets, req.threads, bus,
-                        req.bounded);
+        sharded_->build(g, std::move(part), hubs, req.settle_targets, req.threads, bus);
         sharded_k_ = controllers;
         sharded_valid_ = true;
         valid_ = false;  // the key storage no longer describes the plain cache

@@ -66,25 +66,11 @@ struct SolverOptions {
   /// `threads` this is purely a speed knob: repaired trees are bit-identical
   /// to rebuilt ones (tested), so results never depend on it.  Off restores
   /// the strict rebuild-on-any-change session of the pre-incremental API
-  /// (the bench's recomputing baseline).
+  /// (the recomputing reference).  SOFDA sessions always read their chains
+  /// from a repair-aware cache (core::PricingSession, DESIGN.md §9) that
+  /// rides the closure's change stream, and every rebuild flushes it: a
+  /// strict session re-prices every chain whenever anything changed.
   bool incremental = true;
-  /// Repair-aware k-stroll pricing (DESIGN.md §9): SOFDA sessions keep a
-  /// PricedChain cache per (source, last VM) that subscribes to the
-  /// closure session's change stream — after a repair, only the chains
-  /// whose hub rows, lift paths or setup costs were actually touched
-  /// re-price (through the shared-block instance assembly); a rebuild
-  /// flushes everything.  Like `incremental`, purely a speed knob:
-  /// candidates are bitwise identical to the recomputing path at any
-  /// thread count (tested, and re-asserted on every bench_fig12_online
-  /// panel).  Off restores per-solve from-scratch pricing.
-  bool incremental_pricing = true;
-  /// Build session closures bounded: every hub tree stops once all hubs and
-  /// all destinations are settled (run_into's stop targets).  Exact for every
-  /// query SOFDA pricing and re-homing perform, and cheaper on large graphs
-  /// with clustered hubs, but truncated trees cannot be repaired — bounded
-  /// sessions rebuild on every cost change, so prefer `incremental` for
-  /// arrival streams and `bounded_closure` for one-shot solves.
-  bool bounded_closure = false;
   int retention_rows = 0;  // inert; remove at the next benchmark change
   exact::ExactLimits exact_limits;  // the "exact" solver's search budget
 
@@ -146,10 +132,11 @@ struct SolveReport {
 struct ClosureRequest {
   int threads = 1;           // lane count, as in MetricClosure::build
   bool incremental = true;   // SolverOptions::incremental
-  bool bounded = false;      // SolverOptions::bounded_closure
-  /// Extra settle targets of a bounded build (SOFDA passes the
-  /// destinations); ignored when !bounded.  The span must stay alive for
-  /// the duration of the acquire call only.
+  bool bounded = false;      // inert; remove at the next benchmark change
+  /// The destinations a sharded closure advertises toward (acquire_sharded;
+  /// the dist/k sessions pass the problem's destinations).  Plain acquires
+  /// build complete trees and need none.  Strict sessions key on them.
+  /// The span must stay alive for the duration of the acquire call only.
   std::span<const NodeId> settle_targets;
   int retention = 0;  // inert; remove at the next benchmark change
   /// Where acquire() and publish() run the closure build, extend and
@@ -182,9 +169,8 @@ struct ClosureEpoch {
   /// never copy a plan.  Non-owning and read-only; the admission pipeline
   /// sets it after publish() and refreshes the session only at its next
   /// publish, with every worker parked, so the view's plans stay valid for
-  /// the whole solve.  nullptr when nothing was priced (publish() itself,
-  /// and a pipeline whose sessions run with incremental_pricing off):
-  /// solvers then price from scratch against `closure`.
+  /// the whole solve.  publish() itself leaves it nullptr; a SOFDA
+  /// solve_epoch on a problem with |C| >= 1 requires it (asserted).
   const core::PricingSession* pricing = nullptr;
 };
 
@@ -212,9 +198,8 @@ struct ClosureEpoch {
 ///                  above the repair threshold (quarter of the edges: past
 ///                  that the affected regions approach whole trees and a
 ///                  rebuild's linear sweeps win).
-/// Non-incremental sessions (SolverOptions::incremental = false) and
-/// bounded closures key on the exact hub sequence (+ settle targets) and
-/// only ever hit or rebuild.
+/// Non-incremental sessions (SolverOptions::incremental = false) key on the
+/// exact hub and settle-target sequences and only ever hit or rebuild.
 class ClosureSession {
  public:
   ClosureSession();   // out of line: ShardedClosure is incomplete here
@@ -233,17 +218,17 @@ class ClosureSession {
   /// dirtied-row re-exchange of a refresh, the new-row shipping of an
   /// extend.  Outcomes mirror acquire(): hit (same structure/costs/k, hubs
   /// present — nothing charged), repair (retain + refresh + extend on the
-  /// sharded closure; incremental unbounded sessions only), rebuild
+  /// sharded closure; incremental sessions only), rebuild
   /// (re-partition + full sharded build).  The repair's retain is
   /// request-scoped on every layer (DESIGN.md §13): stitched rows, local
   /// roots and advertisements of hubs no longer named all go, so a
   /// returning non-border source pays one local Dijkstra and, outside the
   /// coordinator's domain, one row exchange.  `req.settle_targets` names the
-  /// problem's destinations — the sharded closure's advertisement targets,
-  /// bounded or not.  Results are bit-identical to a fresh global closure
-  /// at every k and thread count (tested), so sharing one session between
-  /// plain and sharded acquires is safe; the two modes merely invalidate
-  /// each other's cache.
+  /// problem's destinations — the sharded closure's advertisement targets.
+  /// Results are bit-identical to a fresh global closure at every k and
+  /// thread count (tested), so sharing one session between plain and
+  /// sharded acquires is safe; the two modes merely invalidate each other's
+  /// cache.
   const dist::ShardedClosure& acquire_sharded(const graph::Graph& g,
                                               const std::vector<NodeId>& hubs, int controllers,
                                               const ClosureRequest& req, dist::MessageBus& bus,
@@ -282,17 +267,15 @@ class ClosureSession {
   /// (g, hubs, req), collects deltas_ and missing_, and decides hit,
   /// repair or rebuild — filling the report's closure tallies,
   /// last_update() and the key along the way.  `stored` is the mode's
-  /// cached closure view (nullptr when that cache is invalid),
-  /// `reusable` whether its flavour (bounded, k) fits the request, and
-  /// `match_targets` whether the strict key includes the settle targets.
-  /// Only the mode's own work is delegated: `repair` retains `hubs`,
-  /// refreshes deltas_ and extends missing_; `rebuild` builds cold over
-  /// `hubs` and sets the mode's validity flags.
+  /// cached closure view (nullptr when that cache is invalid or, for the
+  /// sharded mode, built for another controller count).  Only the mode's
+  /// own work is delegated: `repair` retains `hubs`, refreshes deltas_ and
+  /// extends missing_; `rebuild` builds cold over `hubs` and sets the
+  /// mode's validity flags.
   template <typename RepairFn, typename RebuildFn>
   void acquire_with(const graph::Graph& g, const std::vector<NodeId>& hubs,
-                    const ClosureRequest& req, const graph::MetricClosure* stored, bool reusable,
-                    bool match_targets, SolveReport& report, const RepairFn& repair,
-                    const RebuildFn& rebuild);
+                    const ClosureRequest& req, const graph::MetricClosure* stored,
+                    SolveReport& report, const RepairFn& repair, const RebuildFn& rebuild);
 
   graph::MetricClosure closure_;
   graph::ShortestPathEngine engine_;
@@ -304,8 +287,8 @@ class ClosureSession {
   std::uint64_t generation_ = 0;    // epochs published by this session
   NodeId key_nodes_ = 0;
   std::vector<graph::Edge> key_edges_;
-  std::vector<NodeId> key_hubs_;     // exact-sequence key (non-incremental/bounded)
-  std::vector<NodeId> key_targets_;  // bounded: the settle-target sequence
+  std::vector<NodeId> key_hubs_;     // exact-sequence key (strict sessions)
+  std::vector<NodeId> key_targets_;  // the settle targets of the last rebuild
   std::vector<graph::EdgeCostDelta> deltas_;  // scratch
   std::vector<NodeId> missing_;               // scratch
   // last_update() storage, rewritten per acquire.
@@ -341,18 +324,18 @@ class Solver {
   /// Embeds one instance against a published closure epoch (DESIGN.md
   /// §10): instead of maintaining its own ClosureSession, the solver
   /// solves against `epoch.closure` — shared, read-only, covering every
-  /// hub the instance needs — and reads its candidate chains from
-  /// `epoch.pricing` when the epoch carries a table (else it prices them
-  /// from scratch against the closure).  The session's own caches are
-  /// left untouched.  Results are bit-identical to solve() on the same
+  /// hub the instance needs — and reads its candidate chains in place from
+  /// `epoch.pricing`, the publisher's table, which a SOFDA solve on a
+  /// problem with |C| >= 1 requires (asserted).  The session's own caches
+  /// are left untouched.  Results are bit-identical to solve() on the same
   /// problem (the epoch is a cache, never an input).  Solvers that don't
   /// consume shared closures (wants_epoch_closure() == false) fall back
   /// to solve() semantics; callers may then skip publishing entirely.
   ServiceForest solve_epoch(const Problem& p, const ClosureEpoch& epoch);
 
-  /// Whether solve_epoch actually reads the published closure and its
-  /// priced chains.  The pipeline skips the per-epoch publish and pricing
-  /// when no worker would use them.
+  /// Whether solve_epoch reads the published closure and, when |C| >= 1,
+  /// the epoch's priced chains.  The pipeline publishes and prices every
+  /// epoch for such solvers, and skips both for the rest.
   virtual bool wants_epoch_closure() const noexcept { return false; }
 
   const SolveReport& report() const noexcept { return report_; }

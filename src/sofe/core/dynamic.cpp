@@ -102,8 +102,7 @@ bool DynamicForest::destination_join(NodeId d, const AlgoOptions& opt) {
   // not recomputed, making the join cost one Dijkstra per distinct host
   // instead of O(candidates · fresh VMs) full runs.  Every query below is
   // hub-to-hub (reachability, stroll pricing, path lifting; the suffix to
-  // the destination rides paths_from), so the build is BOUNDED: each run
-  // stops once all hubs are settled.  The closure object persists on the
+  // the destination rides paths_from).  The closure object persists on the
   // DynamicForest so consecutive joins reuse its tree storage.
   graph::MetricClosure& closure = join_closure_;
   bool have_closure = false;
@@ -116,7 +115,7 @@ bool DynamicForest::destination_join(NodeId d, const AlgoOptions& opt) {
       }
     }
     if (have_closure) {
-      closure.build(p_.network, hubs, 1, &engine_, graph::ClosureScope{/*bounded=*/true, {}});
+      closure.build(p_.network, hubs, 1, &engine_);
     }
   }
 

@@ -94,12 +94,11 @@ Cost total_cost(const Problem& p, const ServiceForest& f);
 /// its VNF VMs, its destination — so every segment starts at a source or a
 /// VM, and its shortest path is read from `closure.tree(start)` (DESIGN.md
 /// §4).  Precondition: every such start is a hub of `closure`, and its row
-/// is exact toward the walk's VMs and destination.  A complete closure over
-/// VMs ∪ sources qualifies (built, repaired or published — its rows are
-/// bitwise the engine's trees), and so does a bounded one whose settle
-/// targets include the destinations.  The dist layer's stitched view does
-/// not (DESIGN.md §11).  Given an exact closure the result is bitwise the
-/// two-argument overload's.
+/// is exact toward the walk's VMs and destination.  Every MetricClosure
+/// over VMs ∪ sources qualifies (built, repaired or published — its rows
+/// are the engine's complete trees, bitwise).  The dist layer's stitched
+/// view does not (DESIGN.md §11).  Given an exact closure the result is
+/// bitwise the two-argument overload's.
 void shorten_pass_through(const Problem& p, const graph::MetricClosure& closure,
                           ServiceForest& f);
 

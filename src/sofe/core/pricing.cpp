@@ -9,12 +9,6 @@
 
 namespace sofe::core {
 
-void PricingSession::invalidate() {
-  key_valid_ = false;
-  buckets_.clear();
-  block_.invalidate();
-}
-
 std::size_t PricingSession::cached_chains() const noexcept {
   std::size_t n = 0;
   for (const auto& [s, bucket] : buckets_) {

@@ -117,8 +117,8 @@ class PricingSession {
   /// canonical (source, last_vm) order: pointers into the table, no copies.
   /// Bitwise what price() would return for those sources (each plan's
   /// source and last_vm name its pair).  The pointers stay valid until the
-  /// next refresh(), price(), price_epoch() or invalidate() on this session
-  /// or its destruction; until then any number of threads may read them —
+  /// next refresh(), price() or price_epoch() on this session or its
+  /// destruction; until then any number of threads may read them —
   /// the pipeline's workers solve against the publisher's epoch table this
   /// way (DESIGN.md §10).  Throws std::logic_error for a source whose
   /// bucket is missing (never priced, or evicted) or holds an entry the
@@ -144,17 +144,13 @@ class PricingSession {
   /// Mixing refresh() and price_epoch() on one session re-keys the cache to
   /// whichever closure came last: the next price_epoch after a plain
   /// refresh() flushes (first-epoch rule), and callers switching the other
-  /// way must invalidate() — the epoch closure's changes are not in their
-  /// own update stream.
+  /// way pass ClosureUpdate::rebuilt() to their first refresh() — the epoch
+  /// closure's changes are not in their own update stream.
   std::vector<PricedChain> price_epoch(const Problem& p, const graph::MetricClosure& closure,
                                        const std::vector<NodeId>& sources,
                                        std::uint64_t generation, const ClosureUpdate& update,
                                        const AlgoOptions& opt, int num_threads = 1,
                                        PricingTally* tally = nullptr);
-
-  /// Drops every cached chain and the shared block (next refresh() starts
-  /// cold).  Call when closure changes may have gone unobserved.
-  void invalidate();
 
   /// Cached chains currently held across all buckets (diagnostics).
   std::size_t cached_chains() const noexcept;

@@ -89,15 +89,16 @@ void merge_priced_chains(std::vector<PricedChain>& chains);
 /// `closure` must hold trees for every candidate's last VM (used by the
 /// drop-fallback re-homing) and, with `opt.shorten`, for every source, each
 /// row exact toward the VMs and destinations (shorten_pass_through's
-/// precondition; a bounded closure must settle the destinations).
+/// precondition, which every complete closure meets).
 /// Requires chain_length >= 1.  Throws std::invalid_argument for a
 /// candidate whose source or last VM is not one of `p`'s.
 ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure& closure,
                                     std::span<const ChainPlan* const> candidates,
                                     const AlgoOptions& opt = {}, SofdaStats* stats = nullptr);
 
-/// Adapter for callers holding owned values (the multi-controller merge,
-/// from-scratch pricing): solves over pointers to each candidate's plan.
+/// Adapter for callers holding owned values (the multi-controller merge, the
+/// one-shot core::sofda and the benchmark's replay): solves over pointers to
+/// each candidate's plan.
 ServiceForest sofda_from_candidates(const Problem& p, const graph::MetricClosure& closure,
                                     const std::vector<PricedChain>& candidates,
                                     const AlgoOptions& opt = {}, SofdaStats* stats = nullptr);

@@ -22,8 +22,8 @@ ServiceForest sofda_ss(const Problem& p, NodeId source, const AlgoOptions& opt =
 /// Same algorithm against a caller-owned metric closure holding trees for
 /// `source` and every VM (the api::Solver session path — a persistent
 /// session reuses the closure's workspaces across solves).  Shortening
-/// reads the closure's rows toward the destinations too, so a bounded
-/// closure must settle them (shorten_pass_through's precondition).
+/// reads the closure's rows toward the destinations too; a complete
+/// closure meets shorten_pass_through's precondition.
 ServiceForest sofda_ss(const Problem& p, NodeId source, const graph::MetricClosure& closure,
                        const AlgoOptions& opt = {});
 

@@ -118,15 +118,12 @@ DistSofdaResult distributed_sofda(const core::Problem& p, int controllers,
   bus.end_round();
 
   // --- Round 2: parallel per-domain closure builds + the border/hub row
-  // exchange (charged by ShardedClosure itself).  The one-shot solve wants
-  // the cheapest exact view, so both the per-domain and the stitched trees
-  // are bounded to the hubs and destinations pricing actually reads.
-  const std::vector<core::NodeId> vms = p.vms();
-  std::vector<core::NodeId> hubs = vms;
+  // exchange (charged by ShardedClosure itself).
+  std::vector<core::NodeId> hubs = p.vms();
   hubs.insert(hubs.end(), p.sources.begin(), p.sources.end());
   ShardedClosure sc;
   sc.build(p.network, std::move(part), std::move(hubs), p.destinations, opt.closure_threads,
-           bus, /*bounded=*/true);
+           bus);
 
   // --- Rounds 3-6.
   return distributed_sofda_with(p, sc, bus, opt);

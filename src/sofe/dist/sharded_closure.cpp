@@ -40,8 +40,8 @@ void ShardedClosure::plan_domain(int d) {
     if (part_.domain(h) == d) add_root(h);
   }
 
-  // Settle targets: borders ∪ owned hubs ∪ owned cold-build destinations
-  // (local ids).
+  // Advertisement targets: borders ∪ owned hubs ∪ owned cold-build
+  // destinations (local ids).
   ds.targets_local.clear();
   ds.is_target_local.assign(members, 0);
   const auto add_target = [&](NodeId global) {
@@ -73,9 +73,7 @@ void ShardedClosure::build_domain(int d, int inner_threads) {
   auto& ds = domains_[du];
   plan_domain(d);
 
-  graph::ClosureScope scope;
-  if (bounded_) scope = {true, std::span<const NodeId>(ds.targets_local)};
-  ds.local.build(dg_.domains[du].subgraph, local_roots(d), inner_threads, nullptr, scope);
+  ds.local.build(dg_.domains[du].subgraph, local_roots(d), inner_threads);
 
   ds.advert.resize(ds.roots.size());
   for (std::size_t i = 0; i < ds.roots.size(); ++i) {
@@ -182,12 +180,11 @@ void ShardedClosure::repair_stitch(const Graph& g, int num_threads,
 
 void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> hubs,
                            std::span<const NodeId> destinations, int num_threads,
-                           MessageBus& bus, bool bounded) {
+                           MessageBus& bus) {
   part_ = std::move(part);
   dg_ = DomainGraphs(g, part_);
   hubs_ = std::move(hubs);
   dests_.assign(destinations.begin(), destinations.end());
-  bounded_ = bounded;
   stats_ = Stats{};
   touched_.clear();
   const int k = part_.num_domains;
@@ -252,16 +249,13 @@ void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> h
       ++stats_.skeleton_edges;
     }
   }
-  graph::ClosureScope scope;
-  if (bounded_) scope = {true, std::span<const NodeId>(dests_)};
-  stitched_.build(masked_, hubs_, num_threads, nullptr, scope);
+  stitched_.build(masked_, hubs_, num_threads);
   stats_.stitch_seconds = seconds_since(t0);
 }
 
 void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelta> deltas,
                              int num_threads, MessageBus& bus,
                              std::vector<graph::MetricClosure::RowDelta>* changed) {
-  assert(!bounded_ && "bounded sharded closures are not repairable");
   const int k = part_.num_domains;
 
   // Route every delta to its owning domain; cross-link deltas have no owner
@@ -315,7 +309,6 @@ void ShardedClosure::refresh(const Graph& g, std::span<const graph::EdgeCostDelt
 void ShardedClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
                             MessageBus& bus,
                             std::vector<graph::MetricClosure::RowDelta>* changed) {
-  assert(!bounded_ && "bounded sharded closures are not extendable");
   const int k = part_.num_domains;
 
   std::vector<NodeId> missing;

@@ -4,7 +4,7 @@
 //
 // Each controller builds a MetricClosure restricted to its own domain
 // subgraph (DomainGraphs), rooted at the border nodes plus the hubs it owns
-// and settled to the borders plus the hubs/destinations it owns — all k
+// and targeting the borders plus the hubs/destinations it owns — all k
 // local builds running in parallel.  A controller then *advertises* its
 // rows: for every root, the parent-chain edges its local trees use to reach
 // the domain's targets (plus every inter-domain link, which both endpoints
@@ -21,7 +21,7 @@
 // global shortest path from a hub, cut at every inter-domain link, falls
 // apart into maximal intra-domain segments joined by cross links.  Each
 // segment runs from a local root (the hub, or the border node where the
-// path enters the domain) to a local settle target (the border node where
+// path enters the domain) to a local target (the border node where
 // it leaves, or the path's own target) over that domain's edges only, so
 // it is shortest inside the domain too; and since local settle order is
 // order-isomorphic to global (both ascending (dist, node) keys), it is the
@@ -41,11 +41,11 @@
 // hub-to-destination rows, so distributed_sofda_with shortens over the
 // network instead of this view (DESIGN.md §11).
 //
-// Incremental (repairable builds only): an EdgeCostDelta batch routes to
-// the owning domain (cross-link deltas hit the mask directly), the local
-// closures repair in place, and only the dirtied rows re-advertise — their
-// edge-set diffs become refcount moves on the mask, mask flips are
-// themselves legal EdgeCostDeltas, and the stitched closure repairs through
+// Incremental: an EdgeCostDelta batch routes to the owning domain
+// (cross-link deltas hit the mask directly), the local closures repair in
+// place, and only the dirtied rows re-advertise — their edge-set diffs
+// become refcount moves on the mask, mask flips are themselves legal
+// EdgeCostDeltas, and the stitched closure repairs through
 // MetricClosure::refresh.  Rows are request-scoped on both layers
 // (DESIGN.md §13): retain() leaves each domain rooted at its borders plus
 // the retained hubs it owns, so a repair never touches a source no request
@@ -85,18 +85,17 @@ class ShardedClosure {
   /// charged row exchange, and the stitched MetricClosure over `hubs` with
   /// every hub-to-(hub ∪ destination) distance and path bit-identical to a
   /// global build.  `part` must partition `g` (it is copied and kept).
-  /// `bounded` builds truncated local and stitched trees (cheapest, the
-  /// one-shot solve path); only unbounded builds are repairable/extendable.
+  /// Local and stitched trees are complete, so every build can be
+  /// repaired and extended.
   void build(const Graph& g, Partition part, std::vector<NodeId> hubs,
-             std::span<const NodeId> destinations, int num_threads, MessageBus& bus,
-             bool bounded = true);
+             std::span<const NodeId> destinations, int num_threads, MessageBus& bus);
 
   /// Repairs after the edge-cost mutations in `deltas` (g already carries
   /// the new costs; same preconditions as MetricClosure::refresh).  Deltas
   /// route to their owning domain, dirtied rows re-advertise and re-ship
   /// (charged), and the stitched closure repairs from the resulting mask
   /// deltas.  `changed` (optional) receives the stitched closure's
-  /// RowDeltas — the pricing invalidation feed.  Unbounded builds only.
+  /// RowDeltas — the pricing invalidation feed.
   void refresh(const Graph& g, std::span<const graph::EdgeCostDelta> deltas, int num_threads,
                MessageBus& bus, std::vector<graph::MetricClosure::RowDelta>* changed = nullptr);
 
@@ -105,24 +104,23 @@ class ShardedClosure {
   /// non-border hub), every root of an owning domain re-advertises toward
   /// the new hubs, mask flips — including the withdrawals of the last
   /// retain() — repair the stitched closure (RowDeltas appended to
-  /// `changed`), and the new hub trees extend it.  Unbounded builds only.
+  /// `changed`), and the new hub trees extend it.
   void extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads, MessageBus& bus,
               std::vector<graph::MetricClosure::RowDelta>* changed = nullptr);
 
   /// Drops every row whose hub is not in `hubs`, on both layers: the
-  /// stitched row, and in the owning domain the local root, its settle
-  /// target (unless a border or a cold-build destination) and its
-  /// advertisement.  Each domain keeps its borders plus the retained hubs
+  /// stitched row, and in the owning domain the local root, its
+  /// advertisement target (unless a border or a cold-build destination)
+  /// and its advertisement.  Each domain keeps its borders plus the retained hubs
   /// it owns as roots.  The withdrawn advertisements' refcount moves flip
   /// the mask at the next refresh() or extend(); until then the mask only
-  /// over-covers, which preserves exactness.  Unbounded builds only.
+  /// over-covers, which preserves exactness.
   void retain(const std::vector<NodeId>& hubs);
 
   /// The stitched global view SOFDA prices against.
   const graph::MetricClosure& closure() const noexcept { return stitched_; }
   const Partition& partition() const noexcept { return part_; }
   const Stats& stats() const noexcept { return stats_; }
-  bool bounded() const noexcept { return bounded_; }
 
   /// Bytes held in closure rows across the deployment: every domain's
   /// local closure plus the stitched global view (each slab counted once
@@ -141,7 +139,7 @@ class ShardedClosure {
   };
 
   /// Sets domain `d`'s roots (borders, then the owned hubs of hubs_) and
-  /// settle targets (borders ∪ owned hubs ∪ owned dests_).
+  /// advertisement targets (borders ∪ owned hubs ∪ owned dests_).
   void plan_domain(int d);
   std::vector<NodeId> local_roots(int d) const;
   void build_domain(int d, int inner_threads);
@@ -163,7 +161,6 @@ class ShardedClosure {
   std::vector<NodeId> hubs_;   // stitched hub list (global ids)
   std::vector<NodeId> dests_;  // the cold build's destinations
   std::vector<EdgeId> touched_;  // edges whose refcount or cost moved since the last stitch repair
-  bool bounded_ = true;
   Stats stats_;
 };
 

@@ -58,31 +58,19 @@ static void derive_sibling_fixups(const TreeRow& row, NodeId v0, EdgeId e0, Node
 }
 
 void MetricClosure::build(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
-                          ShortestPathEngine* engine, ClosureScope scope,
-                          util::LaneRunner* runner) {
+                          ShortestPathEngine* engine, util::LaneRunner* runner) {
   tree_index_.clear();
-  bounded_ = scope.bounded;
-  settle_targets_.clear();
-  if (bounded_) {
-    // The settle set of every run: all hubs plus the caller's extra targets
-    // (duplicates are fine; the engine counts distinct marks).
-    settle_targets_.assign(hubs.begin(), hubs.end());
-    settle_targets_.insert(settle_targets_.end(), scope.extra_targets.begin(),
-                           scope.extra_targets.end());
-  }
   build_or_extend(g, hubs, num_threads, engine, runner, /*rebuild=*/true);
 }
 
 void MetricClosure::extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads,
                            ShortestPathEngine* engine, util::LaneRunner* runner) {
-  assert(!bounded_ && "bounded closures have a fixed settle scope; rebuild instead");
   build_or_extend(g, hubs, num_threads, engine, runner, /*rebuild=*/false);
 }
 
 void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> deltas,
                             int num_threads, ShortestPathEngine* engine,
                             std::vector<RowDelta>* changed, util::LaneRunner* runner) {
-  assert(!bounded_ && "truncated trees cannot be repaired; rebuild instead");
   if (changed != nullptr) changed->clear();
   if (deltas.empty() || rows_.empty()) return;
 
@@ -291,7 +279,6 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
 }
 
 void MetricClosure::retain(const std::vector<NodeId>& hubs) {
-  assert(!bounded_ && "bounded closures have a fixed hub scope; rebuild instead");
   std::unordered_map<NodeId, char> keep;
   keep.reserve(hubs.size());
   for (NodeId h : hubs) keep.emplace(h, 0);
@@ -464,8 +451,6 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
     }
   }
 
-  const std::span<const NodeId> stop = bounded_ ? std::span<const NodeId>(settle_targets_)
-                                                : std::span<const NodeId>{};
   const int lanes = util::lane_count(num_threads, runs.size());
   if (lanes > 1) g.ensure_csr();  // the lazy csr() rebuild is not thread-safe on a miss
   util::fork_join(lanes, runner, [&](int lane) {
@@ -474,7 +459,7 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
     eng.attach(g);
     for (auto i = static_cast<std::size_t>(lane); i < runs.size();
          i += static_cast<std::size_t>(lanes)) {
-      eng.run_into(runs[i].root, row_view(runs[i].slot), stop);
+      eng.run_into(runs[i].root, row_view(runs[i].slot));
     }
   });
 

@@ -29,18 +29,6 @@ namespace sofe::graph {
 
 class ShortestPathEngine;
 
-/// Settle scope of a closure build.  The default builds complete trees.
-/// `bounded = true` stops every hub run once all hubs (plus
-/// `extra_targets`) are settled — exact for every hub-to-hub / hub-to-
-/// target distance AND path (parents settle first), undefined beyond.
-/// SOFDA pricing only ever queries hubs and destinations, so its closures
-/// can be bounded (SolverOptions::bounded_closure); bounded closures are
-/// NOT repairable (refresh asserts) and not extendable.
-struct ClosureScope {
-  bool bounded = false;
-  std::span<const NodeId> extra_targets;
-};
-
 class MetricClosure {
  public:
   /// One hub row's change report from refresh() (DESIGN.md §9): after a
@@ -57,8 +45,9 @@ class MetricClosure {
     bool full = false;
     std::vector<NodeId> nodes;
   };
-  /// Builds the shortest-path tree of every node in `hubs` (duplicates
-  /// tolerated) through a ShortestPathEngine over the graph's CSR view.
+  /// Builds the complete shortest-path tree of every node in `hubs`
+  /// (duplicates tolerated) through a ShortestPathEngine over the graph's
+  /// CSR view, so every stored tree can be repaired and extended.
   ///
   /// Tap-hub derivation: a hub attached to the rest of the graph by a
   /// single zero-cost edge — the library's canonical VM tap
@@ -100,13 +89,11 @@ class MetricClosure {
   /// the Dijkstra trees without reallocating their O(hubs · V) arrays.
   /// When `engine` is given it runs lane 0, the calling thread's share
   /// (persistent heap/label workspaces — api::ClosureSession passes its
-  /// session engine); every other lane uses a lane-local engine.  `scope`
-  /// optionally bounds every run to settle-all-hubs (see ClosureScope).
+  /// session engine); every other lane uses a lane-local engine.
   /// `runner` runs lanes 1.. (util::fork_join; nullptr: fresh threads) —
   /// here and in extend() and refresh().
   void build(const Graph& g, const std::vector<NodeId>& hubs, int num_threads = 1,
-             ShortestPathEngine* engine = nullptr, ClosureScope scope = {},
-             util::LaneRunner* runner = nullptr);
+             ShortestPathEngine* engine = nullptr, util::LaneRunner* runner = nullptr);
 
   /// Adds trees for the hubs of `hubs` not yet present, leaving existing
   /// trees untouched — the incremental half of api::ClosureSession: across
@@ -115,15 +102,13 @@ class MetricClosure {
   /// Every tree is an independent Dijkstra (tap hubs derive from their
   /// host's tree, which may already be stored), so a closure grown by any
   /// build+extend sequence is per-tree bit-identical to a one-shot build.
-  /// Not available on bounded closures (asserted): their truncation scope
-  /// is fixed at build time.
   void extend(const Graph& g, const std::vector<NodeId>& hubs, int num_threads = 1,
               ShortestPathEngine* engine = nullptr, util::LaneRunner* runner = nullptr);
 
   /// Repairs the stored trees in place after the edge-cost mutations in
   /// `deltas` (ShortestPathEngine::repair preconditions apply: the closure
   /// must have been built against the old costs over this same graph
-  /// structure, complete trees only).  Bit-identical to a full rebuild at
+  /// structure).  Bit-identical to a full rebuild at
   /// the new costs.  Like the build, the repair is tap-aware: one repaired
   /// representative per distinct zero-cost-tap host carries its whole tap
   /// group by re-derivation, so the repair count matches the build's
@@ -148,9 +133,6 @@ class MetricClosure {
   /// names any more — an arrival stream's churned-out source hubs — stop
   /// costing one repair per solve.
   void retain(const std::vector<NodeId>& hubs);
-
-  /// Whether this closure was built with a bounded scope (truncated trees).
-  bool bounded() const noexcept { return bounded_; }
 
   /// Number of stored hub trees (diagnostics).
   std::size_t hub_count() const noexcept { return rows_.size(); }
@@ -220,8 +202,6 @@ class MetricClosure {
   std::vector<DeriveMemo> derive_memo_;  // parallel to rows_
   std::unordered_map<NodeId, std::size_t> tree_index_;
   std::size_t n_ = 0;  // node count the rows cover
-  bool bounded_ = false;
-  std::vector<NodeId> settle_targets_;  // bounded builds: hubs ∪ extra targets
 };
 
 }  // namespace sofe::graph

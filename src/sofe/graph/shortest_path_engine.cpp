@@ -98,38 +98,22 @@ const ShortestPathTree& ShortestPathEngine::run(NodeId source) {
   return tree_;
 }
 
-void ShortestPathEngine::run_into(NodeId source, ShortestPathTree& out,
-                                  std::span<const NodeId> stop_targets) {
+void ShortestPathEngine::run_into(NodeId source, ShortestPathTree& out) {
   const auto n = static_cast<std::size_t>(g_->node_count());
   out.source = source;
   out.dist.resize(n);
   out.parent.resize(n);
   out.parent_edge.resize(n);
   run_into(source,
-           TreeRow{source, out.dist.data(), out.parent.data(), out.parent_edge.data(), n},
-           stop_targets);
+           TreeRow{source, out.dist.data(), out.parent.data(), out.parent_edge.data(), n});
 }
 
-void ShortestPathEngine::run_into(NodeId source, TreeRow out,
-                                  std::span<const NodeId> stop_targets) {
+void ShortestPathEngine::run_into(NodeId source, TreeRow out) {
   assert(g_ != nullptr && "engine is not attached to a graph");
   assert(g_->valid_node(source));
   const CsrView& csr = g_->csr();
   const auto n = static_cast<std::size_t>(g_->node_count());
   assert(out.n == n && "row view must cover the whole graph");
-
-  // Mark the distinct stop targets; the marks are undone after the
-  // (possibly truncated) run.
-  if (!stop_targets.empty() && target_mark_.size() != n) target_mark_.assign(n, 0);
-  std::size_t pending = 0;
-  for (NodeId t : stop_targets) {
-    assert(g_->valid_node(t));
-    auto& m = target_mark_[static_cast<std::size_t>(t)];
-    if (!m) {
-      m = 1;
-      ++pending;
-    }
-  }
 
   labels_.assign(n, Label{kInfiniteCost, kInvalidNode, kInvalidEdge});
   labels_[static_cast<std::size_t>(source)].dist = 0.0;
@@ -139,10 +123,6 @@ void ShortestPathEngine::run_into(NodeId source, TreeRow out,
   while (!heap_.empty()) {
     const auto [d, u] = heap_pop(heap_);
     if (d > labels_[static_cast<std::size_t>(u)].dist) continue;  // stale entry
-    if (pending > 0 && target_mark_[static_cast<std::size_t>(u)]) {
-      target_mark_[static_cast<std::size_t>(u)] = 0;
-      if (--pending == 0) break;
-    }
     const std::int32_t hi = csr.end(u);
     for (std::int32_t i = csr.begin(u); i < hi; ++i) {
       const CsrArc& a = csr.arcs[static_cast<std::size_t>(i)];
@@ -154,7 +134,6 @@ void ShortestPathEngine::run_into(NodeId source, TreeRow out,
       }
     }
   }
-  for (NodeId t : stop_targets) target_mark_[static_cast<std::size_t>(t)] = 0;
 
   // Unpack the packed labels into the row layout in one sequential sweep.
   for (std::size_t i = 0; i < n; ++i) {

@@ -62,22 +62,15 @@ class ShortestPathEngine {
 
   /// Full single-source Dijkstra written into caller-owned storage (the
   /// persistence path: MetricClosure hub trees, DynamicForest's cache).
-  /// Only the heap workspace is engine-shared, so `out` is a standalone
-  /// ShortestPathTree with no tie to the engine's lifetime.  A non-empty
-  /// `stop_targets` stops the run once every target is settled (duplicates
-  /// tolerated; unreachable targets simply exhaust the graph): dist/parent
-  /// are exact for every settled node — in particular for every reachable
-  /// target AND every node on a shortest path to one, since parents settle
-  /// first — and the remaining entries are unexplored (+inf) or tentative
-  /// upper bounds.  This is how bounded MetricClosure builds (ClosureScope)
-  /// truncate hub trees; truncated trees are NOT repairable.
-  void run_into(NodeId source, ShortestPathTree& out, std::span<const NodeId> stop_targets = {});
+  /// Only the heap workspace is engine-shared, so `out` is a standalone,
+  /// complete ShortestPathTree with no tie to the engine's lifetime.
+  void run_into(NodeId source, ShortestPathTree& out);
 
   /// run_into writing through a raw row view (slab-backed closure storage,
   /// DESIGN.md §13).  `out` must view exactly node_count() entries; the
   /// caller records `source` itself (the view's own source field is not
   /// consulted).  Bit-identical to the ShortestPathTree overload.
-  void run_into(NodeId source, TreeRow out, std::span<const NodeId> stop_targets = {});
+  void run_into(NodeId source, TreeRow out);
 
   /// Per-repair effect counters (diagnostics; tests, the repair-vs-
   /// rebuild heuristics and the pricing-cache invalidation consume them).
@@ -95,8 +88,8 @@ class ShortestPathEngine {
   };
 
   /// Delta-aware repair (Ramalingam–Reps style; DESIGN.md §8).  `tree` must
-  /// be a COMPLETE tree over the attached graph (produced by run/run_into
-  /// with no stop targets, or by a previous repair) computed when every
+  /// be a complete tree over the attached graph (produced by run/run_into,
+  /// or by a previous repair) computed when every
   /// edge cost equaled its current value except those listed in `deltas`
   /// (new_cost = current cost, old_cost = the cost the tree saw; at most
   /// one delta per edge).  The tree is repaired in place: arcs that got
@@ -176,7 +169,6 @@ class ShortestPathEngine {
   std::vector<NodeId> seeds_;
   std::vector<HeapItem> heap_;
   std::vector<MultiHeapItem> multi_heap_;
-  std::vector<std::uint8_t> target_mark_;  // run_into stop-target scratch
   // repair() workspaces: per-node state bits with a touched list for O(k)
   // reset, plus worklists for subtree invalidation, parent fixup and
   // plateau resolution.

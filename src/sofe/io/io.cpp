@@ -151,6 +151,9 @@ Problem deserialize(const std::string& text) {
   const int nodes = header("nodes");
   if (nodes > kMaxInstanceNodes) fail("nodes");  // refused before anything is sized by it
   p.chain_length = header("chain");
+  // Each VNF runs on its own VM, so a chain longer than the node count can
+  // never be embedded; refusing it also keeps chain_length + 1 in range.
+  if (p.chain_length > nodes) fail("chain");
   const int edges = header("edges");
   p.network = core::Graph(nodes);
   p.node_cost.assign(static_cast<std::size_t>(nodes), 0.0);

@@ -118,8 +118,8 @@ struct OnlineResult {
   int stale_repriced = 0;       // inert, always 0; remove at the next benchmark change
   int speculative_commits = 0;  // inert, always 0; remove at the next benchmark change
   /// Commit-thread wall spent publishing epochs: the closure publish
-  /// plus, for SOFDA families with incremental_pricing, the epoch's chain
-  /// pricing (DESIGN.md §10).
+  /// plus, for SOFDA families with |C| >= 1, the epoch's chain pricing
+  /// (DESIGN.md §10).
   double publish_seconds = 0.0;
   /// Peak slab footprint of the publisher's closure over every epoch
   /// publish (DESIGN.md §13).  Zero for the sequential driver (its
@@ -166,8 +166,8 @@ struct OnlineResult {
 /// sampled source hubs: an incremental session (SolverOptions::incremental)
 /// repairs its hub trees per arrival and builds only the new source roots,
 /// so arrival cost scales with the size of the price change, not the graph.
-/// The series is bit-identical to a recomputing session's (incremental and
-/// incremental_pricing off; tested).  A failure drill's recovery
+/// The series is bit-identical to a recomputing session's (incremental
+/// off; tested).  A failure drill's recovery
 /// re-embeds run on the same session.  Attach a ReportAccumulator via
 /// Solver::set_report_sink to collect per-arrival phase timings.
 ///

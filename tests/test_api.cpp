@@ -330,11 +330,9 @@ TEST(Session, MassiveDeltaFallsBackToRebuild) {
   EXPECT_TRUE(forests_equal(f, core::sofda(p)));
 }
 
-TEST(BoundedClosure, SolverOutputMatchesTheFreeFunction) {
-  SolverOptions bounded;
-  bounded.bounded_closure = true;
-  auto solver = make_solver("sofda", bounded);
-  auto ss = make_solver("sofda-ss", bounded);
+TEST(Session, SolverOutputMatchesTheFreeFunction) {
+  auto solver = make_solver("sofda");
+  auto ss = make_solver("sofda-ss");
   std::vector<std::pair<std::string, core::Problem>> problems;
   for (std::uint64_t seed : {3u, 4u}) {
     topology::ProblemConfig cfg;
@@ -342,10 +340,9 @@ TEST(BoundedClosure, SolverOutputMatchesTheFreeFunction) {
     problems.emplace_back("softlayer seed " + std::to_string(seed),
                           topology::make_problem(topology::softlayer(), cfg));
   }
-  // Shortening reads the last VM's row toward each destination: here a
-  // closure bounded to the hubs alone leaves some of those rows unsettled
-  // and changes the SOFDA-SS forest, so the session must settle the
-  // destinations too.
+  // Shortening reads the last VM's row toward each destination, and here
+  // those reads shape the SOFDA-SS forest: a session closure that were not
+  // exact toward the destinations would change it.
   topology::ProblemConfig cogent_cfg;
   cogent_cfg.num_vms = 8;
   cogent_cfg.num_sources = 1;
@@ -448,27 +445,6 @@ TEST(PricingCache, SessionTracksFreeFunctionAcrossArrivalStyleMutations) {
   EXPECT_TRUE(solver->report().pricing_flushed);
 }
 
-TEST(PricingCache, KnobOffRestoresFromScratchPricing) {
-  const auto p = quickstart_instance();
-  SolverOptions off;
-  off.incremental_pricing = false;
-  auto solver = make_solver("sofda", off);
-  EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
-  EXPECT_EQ(solver->report().pricing_hits, 0);
-  EXPECT_EQ(solver->report().pricing_repriced, 0);  // tallies come from the cache only
-  (void)solver->solve(p);
-  EXPECT_EQ(solver->report().pricing_hits, 0);  // never served from a cache
-
-  // Flipping the knob mid-session starts cold (no stale serves), then
-  // behaves like a fresh incremental session.
-  solver->options().incremental_pricing = true;
-  EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
-  EXPECT_GT(solver->report().pricing_repriced, 0);
-  EXPECT_TRUE(forests_equal(solver->solve(p), core::sofda(p)));
-  EXPECT_EQ(solver->report().pricing_repriced, 0);
-  EXPECT_GT(solver->report().pricing_hits, 0);
-}
-
 TEST(PricingCache, AccumulatorAggregatesPricingTallies) {
   const auto p = quickstart_instance();
   auto solver = make_solver("sofda");
@@ -497,7 +473,6 @@ TEST(OnlineSession, HoldingDeparturesStayBitIdenticalWithPricingCache) {
 
   SolverOptions recompute_opt;
   recompute_opt.incremental = false;
-  recompute_opt.incremental_pricing = false;
   auto recomputing = make_solver("sofda", recompute_opt);
   const auto reference = online::simulate(topo, cfg, *recomputing);
   auto solver = make_solver("sofda");
@@ -658,6 +633,33 @@ TEST(ClosureSession, RepairKeepsExactlyTheRequestedRows) {
   }
   // The frozen benchmark still reads the retired row tallies; they stay 0.
   EXPECT_EQ(back.closure_row_hits + back.closure_rows_retained + back.closure_rows_evicted, 0);
+}
+
+// An epoch solve reads its chains from the publisher's table (DESIGN.md
+// §10): a SOFDA solve_epoch on a |C| >= 1 problem against a bare publish(),
+// which prices nothing, fails an assert instead of pricing on its own.
+TEST(ClosureSession, SofdaEpochSolveRequiresThePublishersTable) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "the contract is an assert";
+#endif
+  const Problem p = quickstart_instance();
+  std::vector<NodeId> hubs = p.vms();
+  hubs.insert(hubs.end(), p.sources.begin(), p.sources.end());
+  api::ClosureSession publisher;
+  const api::ClosureRequest req;
+  api::SolveReport rep;
+  api::ClosureEpoch epoch = publisher.publish(p.network, hubs, req, rep);
+  ASSERT_EQ(epoch.pricing, nullptr);
+  auto solver = make_solver("sofda");
+  EXPECT_DEBUG_DEATH((void)solver->solve_epoch(p, epoch), "pricing table");
+
+  // With the epoch priced, the same solve reads the table and matches the
+  // free function.
+  core::PricingSession table;
+  table.refresh(p, *epoch.closure, p.sources, epoch.update, solver->options().algo());
+  epoch.pricing = &table;
+  EXPECT_TRUE(forests_equal(solver->solve_epoch(p, epoch), core::sofda(p)));
+  publisher.retire();
 }
 
 }  // namespace

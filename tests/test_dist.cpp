@@ -251,16 +251,8 @@ TEST_P(ShardedClosureBitIdentity, MatchesGlobalClosure) {
   const int kk = k > 0 ? k : static_cast<int>(p.network.node_count());
   MessageBus bus;
   ShardedClosure sc;
-  sc.build(p.network, partition_bfs(p.network, kk), hubs, p.destinations, threads, bus,
-           /*bounded=*/true);
-  expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "bounded");
-
-  // The repairable (unbounded) flavor must agree too.
-  MessageBus bus2;
-  ShardedClosure sc2;
-  sc2.build(p.network, partition_bfs(p.network, kk), hubs, p.destinations, threads, bus2,
-            /*bounded=*/false);
-  expect_rows_bitwise_equal(sc2.closure(), global, hubs, p.destinations, "unbounded");
+  sc.build(p.network, partition_bfs(p.network, kk), hubs, p.destinations, threads, bus);
+  expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "sharded");
 }
 
 INSTANTIATE_TEST_SUITE_P(KTimesThreads, ShardedClosureBitIdentity,
@@ -275,14 +267,11 @@ TEST(ShardedClosure, BitIdenticalOnUnitCostTies) {
   const auto expect_exact = [](const Graph& g, const std::vector<NodeId>& hubs,
                                const std::vector<NodeId>& dests, int k, const char* label) {
     const graph::MetricClosure global(g, hubs, 1);
-    for (bool bounded : {true, false}) {
-      MessageBus bus;
-      ShardedClosure sc;
-      sc.build(g, partition_bfs(g, k), hubs, dests, 2, bus, bounded);
-      const std::string what = std::string(label) + (bounded ? " bounded" : " unbounded") +
-                               " k=" + std::to_string(k);
-      expect_rows_bitwise_equal(sc.closure(), global, hubs, dests, what.c_str());
-    }
+    MessageBus bus;
+    ShardedClosure sc;
+    sc.build(g, partition_bfs(g, k), hubs, dests, 2, bus);
+    const std::string what = std::string(label) + " k=" + std::to_string(k);
+    expect_rows_bitwise_equal(sc.closure(), global, hubs, dests, what.c_str());
   };
   const auto grid = topology::grid(5, 5);
   for (int k : {2, 3, 4, 25}) expect_exact(grid.g, {0, 7, 12, 24, 18}, {4, 20, 13}, k, "grid");
@@ -310,7 +299,7 @@ TEST(ShardedClosure, DisconnectedGraphStaysExact) {
   for (int k : {1, 2, 3}) {
     MessageBus bus;
     ShardedClosure sc;
-    sc.build(g, partition_bfs(g, k), hubs, dests, 2, bus, true);
+    sc.build(g, partition_bfs(g, k), hubs, dests, 2, bus);
     expect_rows_bitwise_equal(sc.closure(), global, hubs, dests, "disconnected");
   }
 }
@@ -320,7 +309,7 @@ TEST(ShardedClosure, ExchangeLedgerChargesRowsAndBytes) {
   const auto hubs = hub_set(p);
   MessageBus bus;
   ShardedClosure sc;
-  sc.build(p.network, partition_bfs(p.network, 4), hubs, p.destinations, 1, bus, true);
+  sc.build(p.network, partition_bfs(p.network, 4), hubs, p.destinations, 1, bus);
   const auto& st = sc.stats();
   EXPECT_EQ(st.domains, 4);
   EXPECT_GT(st.rows, 0u);
@@ -352,7 +341,7 @@ TEST_P(ShardedClosureRepair, DeltaRepairMatchesFreshGlobal) {
 
   MessageBus bus;
   ShardedClosure sc;
-  sc.build(p.network, part, hubs, p.destinations, threads, bus, /*bounded=*/false);
+  sc.build(p.network, part, hubs, p.destinations, threads, bus);
 
   // Pick one edge of each flavor.
   EdgeId intra = graph::kInvalidEdge, cross = graph::kInvalidEdge,
@@ -436,7 +425,7 @@ TEST(ShardedClosure, ExtendAddsHubRowsIncrementally) {
     Graph g = p.network;
     MessageBus bus;
     ShardedClosure sc;
-    sc.build(g, part, initial, p.destinations, threads, bus, /*bounded=*/false);
+    sc.build(g, part, initial, p.destinations, threads, bus);
     ASSERT_FALSE(sc.closure().is_hub(late));
     sc.extend(g, hubs, threads, bus);
     expect_rows_bitwise_equal(sc.closure(), global, hubs, p.destinations, "extend");

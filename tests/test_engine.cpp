@@ -1,8 +1,8 @@
 // Tests for the CSR graph core and the reusable ShortestPathEngine: CSR /
 // adjacency agreement, workspace-reuse correctness across repeated queries,
-// run_into's stop-target truncation, the multi-source smaller-owner
-// tie-break invariant, path_to edge cases, and bit-identical multi-threaded
-// MetricClosure construction and repair under any lane schedule.
+// the multi-source smaller-owner tie-break invariant, path_to edge cases,
+// and bit-identical multi-threaded MetricClosure construction and repair
+// under any lane schedule.
 
 #include <gtest/gtest.h>
 
@@ -264,7 +264,7 @@ TEST(MetricClosureThreads, BitIdenticalForAnyThreadCount) {
                                    static_cast<util::LaneRunner*>(&reverse)}) {
     for (int threads : {2, 3, 8}) {
       MetricClosure par;
-      par.build(g, hubs, threads, nullptr, {}, runner);
+      par.build(g, hubs, threads, nullptr, runner);
       for (NodeId h : hubs) {
         ASSERT_TRUE(par.is_hub(h));
         const ShortestPathTree p = par.tree(h).materialize();
@@ -749,93 +749,6 @@ TEST(MetricClosureExtend, GrownClosureMatchesOneShotBuildPerTree) {
     ASSERT_EQ(got.dist, want.dist);
     ASSERT_EQ(got.parent, want.parent);
     ASSERT_EQ(got.parent_edge, want.parent_edge);
-  }
-}
-
-TEST(MetricClosureBounded, HubAndTargetQueriesMatchTheFullBuild) {
-  util::Rng rng(131);
-  Graph g = random_tied(rng, 90, 0.06);
-  std::vector<NodeId> hubs;
-  for (NodeId v = 1; v < 90; v += 9) hubs.push_back(v);
-  for (int i = 0; i < 6; ++i) {  // taps, so bounded derivation is exercised
-    const NodeId vm = g.add_node();
-    g.add_edge(vm, static_cast<NodeId>(rng.index(90)), 0.0);
-    hubs.push_back(vm);
-  }
-  const std::vector<NodeId> targets{4, 40, 77};
-
-  const MetricClosure full(g, hubs, 1);
-  MetricClosure bounded;
-  ClosureScope scope;
-  scope.bounded = true;
-  scope.extra_targets = targets;
-  bounded.build(g, hubs, 1, nullptr, scope);
-  EXPECT_TRUE(bounded.bounded());
-
-  for (NodeId a : hubs) {
-    for (NodeId b : hubs) {
-      ASSERT_EQ(bounded.distance(a, b), full.distance(a, b));  // bitwise
-      if (a != b && full.tree(a).reachable(b)) {
-        ASSERT_EQ(bounded.path(a, b), full.path(a, b));
-      }
-    }
-    for (NodeId t : targets) {
-      ASSERT_EQ(bounded.distance(a, t), full.distance(a, t));
-      if (full.tree(a).reachable(t)) {
-        ASSERT_EQ(bounded.path(a, t), full.path(a, t));
-      }
-    }
-  }
-
-  // Parallel bounded build is bit-identical on the settled scope too.
-  MetricClosure par;
-  par.build(g, hubs, 4, nullptr, scope);
-  for (NodeId a : hubs) {
-    for (NodeId t : targets) ASSERT_EQ(par.distance(a, t), bounded.distance(a, t));
-  }
-}
-
-// ------------------------------------------------- run_into stop targets ---
-
-TEST(StopTargets, UnreachableTargetExhaustsGracefullyAndLeavesNoResidue) {
-  Graph g(5);
-  g.add_edge(0, 1, 1.0);
-  g.add_edge(1, 2, 1.0);
-  g.add_edge(3, 4, 1.0);  // separate component
-  ShortestPathEngine engine(g);
-  const std::vector<NodeId> targets{2, 3};
-  ShortestPathTree t;
-  engine.run_into(0, t, targets);
-  EXPECT_DOUBLE_EQ(t.distance(2), 2.0);
-  EXPECT_FALSE(t.reachable(3));
-  // The unreachable target's mark must be cleared: a leftover mark on 3
-  // would leave only 4 pending here, stopping the run at its own source.
-  const std::vector<NodeId> next{4, 3};
-  engine.run_into(4, t, next);
-  EXPECT_DOUBLE_EQ(t.distance(3), 1.0);
-  const auto baseline = dijkstra(g, 1);
-  engine.run_into(1, t);
-  EXPECT_EQ(t.dist, baseline.dist);
-  EXPECT_EQ(t.parent, baseline.parent);
-}
-
-TEST(StopTargets, RunIntoMatchesSettledPrefix) {
-  util::Rng rng(27);
-  Graph g = random_connected(rng, 60, 0.1);
-  ShortestPathEngine engine(g);
-  std::vector<NodeId> targets{5, 17, 33, 5};  // duplicate tolerated
-  ShortestPathTree bounded;
-  engine.run_into(8, bounded, targets);
-  const auto full = dijkstra(g, 8);
-  for (NodeId v : targets) {
-    EXPECT_EQ(bounded.distance(v), full.distance(v));  // bitwise
-    // The whole parent chain of a settled node is settled and exact.
-    for (NodeId x = v; x != 8; x = bounded.parent[static_cast<std::size_t>(x)]) {
-      EXPECT_EQ(bounded.dist[static_cast<std::size_t>(x)], full.dist[static_cast<std::size_t>(x)]);
-      EXPECT_EQ(bounded.parent[static_cast<std::size_t>(x)],
-                full.parent[static_cast<std::size_t>(x)]);
-    }
-    EXPECT_EQ(bounded.path_to(v), full.path_to(v));
   }
 }
 

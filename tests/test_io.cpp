@@ -79,6 +79,13 @@ TEST(Io, RejectsMalformedInput) {
   };
   expect_parse_error(sized(kMaxInstanceNodes + 1LL), "nodes");
   expect_parse_error(sized(INT_MAX), "nodes");
+  // A chain needs one distinct VM per VNF, so it can be no longer than the
+  // node count (INT_MAX would also overflow chain_length + 1).
+  const auto chained = [](long long chain) {
+    return "sofe-instance v1\nnodes 4\nchain " + std::to_string(chain) + "\nedges 0\n";
+  };
+  expect_parse_error(chained(5), "chain");
+  expect_parse_error(chained(INT_MAX), "chain");
   const std::string head = "sofe-instance v1\nnodes 2\nchain 1\nedges 1\n";
   const std::string edge = "0 1 1.0\n";
   const std::string vms = "vms 1:2.0\n";

@@ -39,12 +39,12 @@ OnlineResult run(const topology::Topology& topo, const OnlineConfig& cfg,
   return simulate(topo, cfg, *solver);
 }
 
-/// A session that rebuilds its closure and re-prices every chain on every
-/// solve: the cache-free reference warm sessions must reproduce bitwise.
+/// A strict session, which rebuilds its closure and so re-prices every chain
+/// whenever anything changed: the cache-free reference warm sessions must
+/// reproduce bitwise.
 OnlineResult run_recomputing(const topology::Topology& topo, const OnlineConfig& cfg) {
   api::SolverOptions opt;
   opt.incremental = false;
-  opt.incremental_pricing = false;
   return run(topo, cfg, "sofda", opt);
 }
 

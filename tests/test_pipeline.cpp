@@ -10,6 +10,7 @@
 #include <chrono>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -61,7 +62,6 @@ OnlineResult sequential_reference(const topology::Topology& topo, const OnlineCo
 OnlineResult recomputing_reference(const topology::Topology& topo, const OnlineConfig& cfg) {
   api::SolverOptions opt;
   opt.incremental = false;
-  opt.incremental_pricing = false;
   auto solver = api::make_solver("sofda", opt);
   return simulate(topo, cfg, *solver);
 }
@@ -98,15 +98,16 @@ TEST(PipelineDeterminism, MatchesSequentialDriverAcrossWorkersEpochsHolding) {
 // consecutive epochs request overlapping hub sets and the session and
 // publisher closures repair, drop and rebuild rows as the working set
 // moves.  Every series — sequential at solver threads {1, 2, 8} and with
-// incremental_pricing off, and pipelined at each of those options with
-// workers {1, 2, 8} — must be bitwise the plain-defaults sequential
-// reference, on two topologies and at |C| = 1 and 2.  Knob off, the
-// publisher prices nothing and the workers price from scratch; knob on,
-// it prices each epoch once, so the chains it re-prices are the same at
-// every thread and worker count.  At |C| = 1 the table invalidates chain
-// by chain from each epoch's row deltas (a moved VM setup cost flushes
-// every |C| >= 2 chain), which pins that the publisher applies the
-// epoch's update.
+// incremental off, and pipelined at each of those options with workers
+// {1, 2, 8} — must be bitwise the plain-defaults sequential reference, on
+// two topologies and at |C| = 1 and 2.  The publisher prices each epoch
+// once, so the chains it re-prices are the same at every thread and worker
+// count: one tally for the incremental inputs, another for the strict
+// publisher, which rebuilds and flushes on every epoch that changed
+// anything.  At |C| = 1 the incremental table invalidates chain by chain
+// from each epoch's row deltas (a moved VM setup cost flushes every
+// |C| >= 2 chain), which pins that the publisher applies the epoch's
+// update.
 TEST(PipelineDeterminism, RecurringSourcesMatchAcrossThreadsAndWorkers) {
   const topology::Topology topos[] = {topology::softlayer(), topology::inet(40, 80, 8, 7)};
   std::vector<std::pair<std::string, api::SolverOptions>> inputs;
@@ -115,9 +116,9 @@ TEST(PipelineDeterminism, RecurringSourcesMatchAcrossThreadsAndWorkers) {
     opt.threads = threads;
     inputs.emplace_back("threads=" + std::to_string(threads), opt);
   }
-  api::SolverOptions knob_off;
-  knob_off.incremental_pricing = false;
-  inputs.emplace_back("incremental_pricing=false", knob_off);
+  api::SolverOptions strict;
+  strict.incremental = false;
+  inputs.emplace_back("incremental=false", strict);
   for (const auto& topo : topos) {
     for (int holding : {0, 8}) {
       for (int chain_length : {1, 2}) {
@@ -128,7 +129,8 @@ TEST(PipelineDeterminism, RecurringSourcesMatchAcrossThreadsAndWorkers) {
         cfg.source_pool = 6;
         cfg.source_alpha = 1.0;
         const OnlineResult ref = sequential_reference(topo, cfg);
-        std::size_t epoch_repriced = 0;  // the publisher's tally, knob on
+        // The publisher's chain tally, by opt.incremental.
+        std::map<bool, std::size_t> epoch_repriced;
         for (const auto& [label, opt] : inputs) {
           auto solver = api::make_solver("sofda", opt);
           SCOPED_TRACE(topo.name + " holding=" + std::to_string(holding) +
@@ -142,13 +144,12 @@ TEST(PipelineDeterminism, RecurringSourcesMatchAcrossThreadsAndWorkers) {
             api::ReportAccumulator acc;
             pipeline.set_report_sink(&acc);
             expect_series_identical(ref, pipeline.run());
-            if (!opt.incremental_pricing) {
-              EXPECT_EQ(acc.pricing_repriced(), 0u);
-            } else if (epoch_repriced == 0) {
-              epoch_repriced = acc.pricing_repriced();
-              EXPECT_GT(epoch_repriced, 0u);
+            const auto [it, first] =
+                epoch_repriced.try_emplace(opt.incremental, acc.pricing_repriced());
+            if (first) {
+              EXPECT_GT(it->second, 0u);
             } else {
-              EXPECT_EQ(acc.pricing_repriced(), epoch_repriced);
+              EXPECT_EQ(acc.pricing_repriced(), it->second);
             }
           }
         }

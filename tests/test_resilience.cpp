@@ -43,12 +43,12 @@ OnlineResult run(const topology::Topology& topo, const OnlineConfig& cfg,
   return simulate(topo, cfg, *solver);
 }
 
-/// The cache-free reference: a session that rebuilds its closure and
-/// re-prices every chain on every solve, recovery re-embeds included.
+/// The cache-free reference: a strict session, which rebuilds its closure
+/// and so re-prices every chain whenever anything changed, recovery
+/// re-embeds included.
 OnlineResult run_recomputing(const topology::Topology& topo, const OnlineConfig& cfg) {
   api::SolverOptions opt;
   opt.incremental = false;
-  opt.incremental_pricing = false;
   return run(topo, cfg, opt);
 }
 
