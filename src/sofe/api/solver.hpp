@@ -142,7 +142,7 @@ struct ClosureRequest {
   /// Where acquire() and publish() run the closure build, extend and
   /// refresh lanes past the calling thread's (util::fork_join); nullptr
   /// spawns fresh threads per call.  Non-owning, used during the call
-  /// only; the admission pipeline lends its parked workers here (DESIGN.md
+  /// only; the admission pipeline passes its worker pool here (DESIGN.md
   /// §10).  acquire_sharded() ignores it.
   util::LaneRunner* runner = nullptr;
 };
@@ -168,8 +168,8 @@ struct ClosureEpoch {
   /// read it through PricingSession::chains, a view into its table, and
   /// never copy a plan.  Non-owning and read-only; the admission pipeline
   /// sets it after publish() and refreshes the session only at its next
-  /// publish, with every worker parked, so the view's plans stay valid for
-  /// the whole solve.  publish() itself leaves it nullptr; a SOFDA
+  /// publish, once the epoch's solves have all returned, so the view's
+  /// plans stay valid for the whole solve.  publish() itself leaves it nullptr; a SOFDA
   /// solve_epoch on a problem with |C| >= 1 requires it (asserted).
   const core::PricingSession* pricing = nullptr;
 };

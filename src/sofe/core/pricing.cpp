@@ -1,6 +1,7 @@
 #include "sofe/core/pricing.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -286,10 +287,11 @@ void PricingSession::refresh(const Problem& p, const graph::MetricClosure& closu
     if (needed) block_.build(closure, key_vms_, p.node_cost);
   }
 
-  // --- 6. Price in place: same fixed source striping as
-  // price_candidate_chains.  Every lane writes only its own sources'
-  // buckets and tallies, so the table — and chains() over it — is bitwise
-  // the serial one at any thread count. ---
+  // --- 6. Price in place: lanes claim sources one by one, as in
+  // price_candidate_chains.  Every source writes only its own bucket and
+  // tallies (a lane's assembler is scratch that bind_source resets), so
+  // the table — and chains() over it — is bitwise the serial one at any
+  // thread count. ---
   const int lanes = util::lane_count(num_threads, srcs.size());
   if (assemblers_.size() < static_cast<std::size_t>(lanes)) {
     assemblers_.resize(static_cast<std::size_t>(lanes));
@@ -298,9 +300,9 @@ void PricingSession::refresh(const Problem& p, const graph::MetricClosure& closu
   std::vector<int> per_repriced(srcs.size(), 0);
 
   if (lanes > 1) p.network.ensure_csr();  // lift queries only read; keep csr() race-free
+  std::atomic<std::size_t> next_source{0};
   util::fork_join(lanes, runner, [&](int lane) {
-    for (auto i = static_cast<std::size_t>(lane); i < srcs.size();
-         i += static_cast<std::size_t>(lanes)) {
+    for (std::size_t i; (i = next_source++) < srcs.size();) {
       price_source(p, closure, srcs[i], buckets_.at(srcs[i]),
                    assemblers_[static_cast<std::size_t>(lane)], opt, per_hits[i],
                    per_repriced[i]);

@@ -85,8 +85,8 @@ struct PricingTally {
 /// exactly that pair, and the admission pipeline's publisher another);
 /// refresh() must see every closure change exactly once via `update`.
 /// Sessions are single-writer objects; `num_threads` parallelism happens
-/// inside a refresh() call and is bit-identical to serial (per-source
-/// buckets, fixed striping — the same scheme as
+/// inside a refresh() call and is bit-identical to serial (lanes claim
+/// sources, each writing only its own bucket — the same scheme as
 /// core::price_candidate_chains).  Between refresh() calls any number of
 /// threads may read the table through chains().
 class PricingSession {
@@ -96,7 +96,7 @@ class PricingSession {
   /// read the result through chains().  Requires p.chain_length >= 1 and
   /// closure trees for every VM and every source.  Lanes past the caller's
   /// run on `runner` when one is given, else on fresh threads
-  /// (util::fork_join); the admission pipeline lends its parked workers
+  /// (util::fork_join); the admission pipeline passes its worker pool
   /// here (DESIGN.md §10).
   void refresh(const Problem& p, const graph::MetricClosure& closure,
                const std::vector<NodeId>& sources, const ClosureUpdate& update,

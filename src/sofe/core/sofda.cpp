@@ -1,6 +1,7 @@
 #include "sofe/core/sofda.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -100,16 +101,14 @@ std::vector<PricedChain> price_candidate_chains(const Problem& p,
     return candidates;
   }
 
-  // Parallel path: stripe sources over lanes; every source writes into its
-  // own bucket, so concatenating buckets in ascending-source order yields
-  // exactly the serial output.  Lanes only read `p`, `vms` and the
-  // prebuilt closure — plan_chain_walk is pure given those.
+  // Parallel path: lanes claim sources one by one; every source writes
+  // into its own bucket, so concatenating buckets in ascending-source
+  // order yields exactly the serial output.  Lanes only read `p`, `vms`
+  // and the prebuilt closure — plan_chain_walk is pure given those.
   std::vector<std::vector<PricedChain>> per_source(srcs.size());
-  util::fork_join(lanes, nullptr, [&](int lane) {
-    for (auto i = static_cast<std::size_t>(lane); i < srcs.size();
-         i += static_cast<std::size_t>(lanes)) {
-      price_source(srcs[i], per_source[i]);
-    }
+  std::atomic<std::size_t> next_source{0};
+  util::fork_join(lanes, nullptr, [&](int) {
+    for (std::size_t i; (i = next_source++) < srcs.size();) price_source(srcs[i], per_source[i]);
   });
   std::size_t total = 0;
   for (const auto& bucket : per_source) total += bucket.size();

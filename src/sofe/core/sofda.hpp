@@ -57,7 +57,7 @@ struct PricedChain {
 ///
 /// `num_threads` > 1 prices sources in parallel: pricing is embarrassingly
 /// parallel over sources (each k-stroll reads only the shared, read-only
-/// closure), so sources are striped over workers and each source's
+/// closure), so lanes claim sources one by one and each source's
 /// candidates land in a preassigned bucket; concatenating the buckets in
 /// ascending-source order reproduces the serial output bit for bit at any
 /// thread count (tested).  Values < 1 are clamped to 1.

@@ -1,6 +1,7 @@
 #include "sofe/dist/sharded_closure.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <unordered_set>
@@ -190,17 +191,18 @@ void ShardedClosure::build(const Graph& g, Partition part, std::vector<NodeId> h
   const int k = part_.num_domains;
   stats_.domains = k;
 
-  // All k controllers build their local closures in parallel: domains are
-  // striped over min(threads, k) outer lanes, each local MetricClosure
-  // build getting the leftover inner threads.  Every lane writes only its
-  // preassigned DomainState slots, so the result is bit-identical at any
-  // thread count (as MetricClosure's own striping already is).
+  // All k controllers build their local closures in parallel: min(threads,
+  // k) outer lanes claim domains one by one, each local MetricClosure build
+  // getting the leftover inner threads.  Every domain writes only its own
+  // preassigned DomainState slot, so the result is bit-identical at any
+  // thread count (as MetricClosure's own parallel build already is).
   domains_.clear();
   domains_.resize(static_cast<std::size_t>(k));
   const int outer = util::lane_count(num_threads, static_cast<std::size_t>(k));
   const int inner = std::max(1, num_threads / outer);
-  util::fork_join(outer, nullptr, [&](int lane) {
-    for (int d = lane; d < k; d += outer) build_domain(d, inner);
+  std::atomic<int> next_domain{0};
+  util::fork_join(outer, nullptr, [&](int) {
+    for (int d; (d = next_domain++) < k;) build_domain(d, inner);
   });
   for (const auto& ds : domains_) {
     stats_.local_build_seconds_total += ds.build_seconds;

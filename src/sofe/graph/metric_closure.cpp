@@ -1,6 +1,7 @@
 #include "sofe/graph/metric_closure.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
@@ -204,14 +205,12 @@ void MetricClosure::refresh(const Graph& g, std::span<const EdgeCostDelta> delta
 
   const int lanes = util::lane_count(num_threads, repairs.size());
   if (lanes > 1) g.ensure_csr();  // the lazy csr() cost refresh is not thread-safe on a miss
+  std::atomic<std::size_t> next_repair{0};
   util::fork_join(lanes, runner, [&](int lane) {
     ShortestPathEngine local;
     ShortestPathEngine& eng = lane == 0 && engine != nullptr ? *engine : local;
     eng.attach(g);
-    for (auto ri = static_cast<std::size_t>(lane); ri < repairs.size();
-         ri += static_cast<std::size_t>(lanes)) {
-      repair_one(eng, ri);
-    }
+    for (std::size_t ri; (ri = next_repair++) < repairs.size();) repair_one(eng, ri);
   });
 
   // Directly repaired rows are their own memo (and change report).
@@ -453,12 +452,12 @@ void MetricClosure::build_or_extend(const Graph& g, const std::vector<NodeId>& h
 
   const int lanes = util::lane_count(num_threads, runs.size());
   if (lanes > 1) g.ensure_csr();  // the lazy csr() rebuild is not thread-safe on a miss
+  std::atomic<std::size_t> next_run{0};
   util::fork_join(lanes, runner, [&](int lane) {
     ShortestPathEngine local;
     ShortestPathEngine& eng = lane == 0 && engine != nullptr ? *engine : local;
     eng.attach(g);
-    for (auto i = static_cast<std::size_t>(lane); i < runs.size();
-         i += static_cast<std::size_t>(lanes)) {
+    for (std::size_t i; (i = next_run++) < runs.size();) {
       eng.run_into(runs[i].root, row_view(runs[i].slot));
     }
   });

@@ -62,10 +62,10 @@ class MetricClosure {
   ///
   /// `num_threads` > 1 runs the full (non-derived) trees in parallel
   /// through util::fork_join: the CSR is prebuilt once
-  /// (`Graph::ensure_csr`), roots are striped over lanes in a fixed
-  /// assignment, and each lane runs its own engine into preassigned rows —
-  /// so the result is bit-identical to the single-threaded build for any
-  /// thread count and lane schedule (tested).  Values < 1 are clamped to 1;
+  /// (`Graph::ensure_csr`), each lane claims the next unbuilt root and
+  /// runs it on its own engine into that root's preassigned row — so the
+  /// result is bit-identical to the single-threaded build for any thread
+  /// count and lane schedule (tested).  Values < 1 are clamped to 1;
   /// the thread count is a knob on AlgoOptions (closure_threads) and
   /// api::SolverOptions (threads) for the solver layers.
   MetricClosure(const Graph& g, const std::vector<NodeId>& hubs, int num_threads = 1) {
@@ -113,7 +113,8 @@ class MetricClosure {
   /// representative per distinct zero-cost-tap host carries its whole tap
   /// group by re-derivation, so the repair count matches the build's
   /// Dijkstra count rather than the (vms_per_dc times larger) tree count.
-  /// Threading stripes the representative repairs over lanes.
+  /// Threading hands the representative repairs to lanes as they claim
+  /// them, each repair writing only its own row.
   ///
   /// `changed`, when given, is cleared and filled with one RowDelta per hub
   /// row that may have changed (see RowDelta): directly repaired rows carry

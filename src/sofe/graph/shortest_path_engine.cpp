@@ -31,22 +31,6 @@ inline Item heap_pop(std::vector<Item>& h) {
 
 }  // namespace
 
-void ShortestPathEngine::reset_tree(std::size_t n) {
-  if (tree_.dist.size() != n) {
-    tree_.dist.assign(n, kInfiniteCost);
-    tree_.parent.assign(n, kInvalidNode);
-    tree_.parent_edge.assign(n, kInvalidEdge);
-  } else {
-    for (NodeId v : tree_touched_) {
-      const auto i = static_cast<std::size_t>(v);
-      tree_.dist[i] = kInfiniteCost;
-      tree_.parent[i] = kInvalidNode;
-      tree_.parent_edge[i] = kInvalidEdge;
-    }
-  }
-  tree_touched_.clear();
-}
-
 void ShortestPathEngine::reset_voronoi(std::size_t n) {
   if (vor_.dist.size() != n) {
     vor_.dist.assign(n, kInfiniteCost);
@@ -63,39 +47,6 @@ void ShortestPathEngine::reset_voronoi(std::size_t n) {
     }
   }
   vor_touched_.clear();
-}
-
-const ShortestPathTree& ShortestPathEngine::run(NodeId source) {
-  assert(g_ != nullptr && "engine is not attached to a graph");
-  assert(g_->valid_node(source));
-  const CsrView& csr = g_->csr();
-  const auto n = static_cast<std::size_t>(g_->node_count());
-  reset_tree(n);
-
-  tree_.source = source;
-  tree_.dist[static_cast<std::size_t>(source)] = 0.0;
-  tree_touched_.push_back(source);
-
-  heap_.clear();
-  heap_.push_back(HeapItem{0.0, source});
-  while (!heap_.empty()) {
-    const auto [d, u] = heap_pop(heap_);
-    if (d > tree_.dist[static_cast<std::size_t>(u)]) continue;  // stale entry
-    const std::int32_t hi = csr.end(u);
-    for (std::int32_t i = csr.begin(u); i < hi; ++i) {
-      const CsrArc& a = csr.arcs[static_cast<std::size_t>(i)];
-      const Cost nd = d + a.cost;
-      auto& dv = tree_.dist[static_cast<std::size_t>(a.to)];
-      if (nd < dv) {
-        if (dv == kInfiniteCost) tree_touched_.push_back(a.to);
-        dv = nd;
-        tree_.parent[static_cast<std::size_t>(a.to)] = u;
-        tree_.parent_edge[static_cast<std::size_t>(a.to)] = a.edge;
-        heap_push(heap_, HeapItem{nd, a.to});
-      }
-    }
-  }
-  return tree_;
 }
 
 void ShortestPathEngine::run_into(NodeId source, ShortestPathTree& out) {

@@ -9,19 +9,19 @@
 // arrival streams) that allocation dominates.
 // The engine owns the workspaces once and reuses them across queries:
 //
-//   * result arrays are reset via a touched-node list, so clearing after a
-//     run that reached k nodes costs O(k), not O(V);
+//   * run_multi's result arrays are reset via a touched-node list, so
+//     clearing after a run that reached k nodes costs O(k), not O(V);
 //   * the binary heap keeps its capacity between runs — zero allocation at
 //     steady state;
 //   * adjacency is streamed from Graph::csr(): three parallel flat arrays
 //     instead of the Arc -> edges_ pointer chase.
 //
-// Workspace-reuse contract: `run` and `run_multi` return references to
-// engine-owned storage that the NEXT call of the same function overwrites.
-// Copy what must outlive the next query, or use `run_into`, which writes a
-// standalone tree directly into caller storage (this is what MetricClosure
-// stores).  One engine serves one thread; parallel callers use one engine
-// each over a shared, prebuilt CSR (see MetricClosure).
+// Workspace-reuse contract: `run_multi` returns a reference to
+// engine-owned storage that the NEXT run_multi call overwrites; copy what
+// must outlive it.  `run_into` writes a standalone tree directly into
+// caller storage (this is what MetricClosure stores).  One engine serves
+// one thread; parallel callers use one engine each over a shared,
+// prebuilt CSR (see MetricClosure).
 //
 // Determinism: identical inputs produce identical trees, bit for bit.
 // Single-source runs break heap ties on node id exactly like the historical
@@ -56,14 +56,11 @@ class ShortestPathEngine {
 
   const Graph* graph() const noexcept { return g_; }
 
-  /// Full single-source Dijkstra.  The returned tree is engine-owned and
-  /// overwritten by the next run() call.
-  const ShortestPathTree& run(NodeId source);
-
-  /// Full single-source Dijkstra written into caller-owned storage (the
-  /// persistence path: MetricClosure hub trees, DynamicForest's cache).
-  /// Only the heap workspace is engine-shared, so `out` is a standalone,
-  /// complete ShortestPathTree with no tie to the engine's lifetime.
+  /// Full single-source Dijkstra written into caller-owned storage
+  /// (MetricClosure hub trees, DynamicForest's cache, the Dreyfus–Wagner
+  /// base cases).  Only the heap and label workspaces are engine-shared,
+  /// so `out` is a standalone, complete ShortestPathTree with no tie to
+  /// the engine's lifetime.
   void run_into(NodeId source, ShortestPathTree& out);
 
   /// run_into writing through a raw row view (slab-backed closure storage,
@@ -88,8 +85,8 @@ class ShortestPathEngine {
   };
 
   /// Delta-aware repair (Ramalingam–Reps style; DESIGN.md §8).  `tree` must
-  /// be a complete tree over the attached graph (produced by run/run_into,
-  /// or by a previous repair) computed when every
+  /// be a complete tree over the attached graph (produced by run_into, or
+  /// by a previous repair) computed when every
   /// edge cost equaled its current value except those listed in `deltas`
   /// (new_cost = current cost, old_cost = the cost the tree saw; at most
   /// one delta per edge).  The tree is repaired in place: arcs that got
@@ -123,8 +120,8 @@ class ShortestPathEngine {
 
   /// Multi-source Dijkstra (Mehlhorn's Voronoi partition).  Duplicate
   /// sources are tolerated; equal-distance ties deterministically assign
-  /// ownership to the smallest source id.  Engine-owned result, same
-  /// overwrite contract as run().
+  /// ownership to the smallest source id.  The result is engine-owned and
+  /// overwritten by the next run_multi() call.
   const VoronoiPartition& run_multi(std::span<const NodeId> sources);
 
  private:
@@ -157,14 +154,11 @@ class ShortestPathEngine {
     EdgeId parent_edge;
   };
 
-  void reset_tree(std::size_t n);
   void reset_voronoi(std::size_t n);
 
   const Graph* g_ = nullptr;
-  ShortestPathTree tree_;
   VoronoiPartition vor_;
   std::vector<Label> labels_;  // run_into scratch
-  std::vector<NodeId> tree_touched_;
   std::vector<NodeId> vor_touched_;
   std::vector<NodeId> seeds_;
   std::vector<HeapItem> heap_;

@@ -210,6 +210,7 @@ Problem deserialize(const std::string& text) {
       const auto [s, c] = costed_node(t, "source_costs");
       p.source_setup_cost[static_cast<std::size_t>(s)] = c;
     }
+    if (is >> key) fail("trailing content");
   }
   if (!p.well_formed()) fail("instance fails well-formedness checks");
   return p;

@@ -1,7 +1,7 @@
 #pragma once
 // Epoch-pipelined concurrent arrival service (DESIGN.md §10).
 //
-// The production shape of the online layer: arrivals queue up, N worker
+// The production shape of the online layer: arrivals queue up, N solver
 // sessions solve different queued arrivals in parallel against one
 // immutable epoch snapshot (graph prices + published read-only metric
 // closure + the epoch's priced chains + ledger state frozen at epoch
@@ -9,7 +9,9 @@
 // order — folding each epoch's price movements into ONE EdgeCostDelta
 // batch that drives closure repair and pricing-cache invalidation per
 // epoch instead of per arrival.  The publisher prices every source of the
-// epoch once, so no two workers price the same chain.
+// epoch once, so no two sessions price the same chain.  Each epoch is
+// three phases on one util::WorkerPool, one after the other: publish and
+// price, solve, commit.
 //
 // Determinism contract: for every (topology, OnlineConfig) the cost series
 // is bitwise identical to the sequential driver `online::simulate` at the
@@ -36,12 +38,13 @@ struct SolverOptions;
 namespace sofe::online {
 
 struct PipelineOptions {
-  /// Solver worker threads.  0 = std::thread::hardware_concurrency();
-  /// 1 reproduces the sequential driver's schedule with the pipeline's
-  /// machinery (still bit-identical — as is every other count).  The
-  /// same threads run the epoch's closure publish and chain pricing
-  /// while they are parked: each takes workers + 1 lanes, the commit
-  /// thread running one of them (§10); SolverOptions::threads sizes only
+  /// Solve lanes, each with its own solver session: lane 0 on the
+  /// calling thread, which is also the commit stage, the rest on the
+  /// pool's threads.  0 = std::thread::hardware_concurrency(); 1 solves
+  /// in the sequential driver's order with the pipeline's machinery
+  /// (still bit-identical — as is every other count).  The pool holds
+  /// `workers` threads, so the epoch's closure publish and chain pricing
+  /// each take workers + 1 lanes (§10); SolverOptions::threads sizes only
   /// each session's own solves.
   int workers = 1;
   int lookahead_epochs = 0;  // inert; remove at the next benchmark change
@@ -49,10 +52,11 @@ struct PipelineOptions {
 
 /// The admission pipeline.  One instance serves one arrival stream; run()
 /// may be called once.  Construction validates the OnlineConfig
-/// (std::invalid_argument on nonsense) and resolves `solver_name` against
-/// the global SolverRegistry — each worker owns a private solver session
-/// built from these options, plus a private Problem replica that copies
-/// the master's moved prices at its first claim of each epoch.
+/// (std::invalid_argument on nonsense); run() resolves `solver_name`
+/// against the global SolverRegistry — each solve lane owns a private
+/// solver session built from these options, plus a private Problem
+/// replica that copies the master's moved prices at its first claim of
+/// each epoch.
 class Pipeline {
  public:
   Pipeline(const topology::Topology& topo, const OnlineConfig& cfg, std::string solver_name,
@@ -67,12 +71,13 @@ class Pipeline {
   /// add_pricing).  Attach before run(); must outlive it.
   void set_report_sink(api::ReportAccumulator* sink) noexcept;
 
-  /// Serves the whole stream: spawns the workers, runs the epoch publish /
-  /// commit loop on the calling thread, joins, and returns the same
-  /// OnlineResult the sequential driver produces (plus the pipeline
-  /// diagnostics fields).  An exception from a worker's solve, or from
-  /// the calling thread (a drill's recovery re-embed runs there), is
-  /// rethrown here once every worker has been joined.
+  /// Serves the whole stream: starts the pool, runs the epoch loop on the
+  /// calling thread, joins, and returns the same OnlineResult the
+  /// sequential driver produces (plus the pipeline diagnostics fields).
+  /// An exception from a lane's solve, or from the calling thread (a
+  /// drill's recovery re-embed runs there), is rethrown here once every
+  /// lane of its phase has returned; the pool's threads are joined on the
+  /// way out.  A second call throws std::logic_error.
   OnlineResult run();
 
  private:

@@ -44,10 +44,12 @@ SteinerTree dreyfus_wagner(const Graph& g, const std::vector<NodeId>& terminals)
   std::vector<std::vector<Cost>> S(full + 1, std::vector<Cost>(n, graph::kInfiniteCost));
   std::vector<std::vector<Decision>> dec(full + 1, std::vector<Decision>(n));
 
-  // Base: singletons via Dijkstra from each terminal (one engine, reused).
+  // Base: singletons via Dijkstra from each terminal (one engine and one
+  // tree, reused).
   graph::ShortestPathEngine engine(g);
+  graph::ShortestPathTree sp;
   for (std::size_t i = 0; i < t; ++i) {
-    const auto& sp = engine.run(T[i]);
+    engine.run_into(T[i], sp);
     const std::uint32_t mask = 1u << i;
     for (std::size_t v = 0; v < n; ++v) {
       S[mask][v] = sp.dist[v];

@@ -1,14 +1,16 @@
 #pragma once
 // Fork/join over a fixed number of lanes (DESIGN.md §2): the one place the
-// library's striped loops (closure builds and repairs, sharded domain
-// builds, candidate pricing) fan out to threads.
+// library's parallel loops (closure builds and repairs, sharded domain
+// builds, candidate pricing, the admission pipeline's solves) fan out to
+// threads.
 //
 // fork_join(n, runner, body) runs body(lane) for every lane in [0, n):
-// lane 0 on the calling thread, lanes 1.. on `runner` when one is given,
-// else on fresh threads joined before the call returns.  Every call site
-// keeps a fixed stripe assignment (item i belongs to lane i mod n) and
-// writes preassigned per-item slots, so its output is bitwise the serial
-// one whichever thread runs a lane and in whatever order (tested with a
+// lane 0 on the calling thread, lanes 1.. on `runner` when one is given
+// (util::WorkerPool), else on fresh threads joined before the call
+// returns.  Every loop over items lets its lanes claim the items from a
+// shared atomic counter, and each item writes only its own preassigned
+// slot, so the output is bitwise the serial one whichever lane claims an
+// item, whichever thread runs a lane and in whatever order (tested with a
 // runner that runs the lanes in reverse on the calling thread).
 //
 // A throwing lane never ends the process: each lane's exception is caught,
@@ -24,9 +26,9 @@
 
 namespace sofe::util {
 
-/// Runs the lanes of a fork_join that the calling thread does not run.
-/// The admission pipeline lends its parked workers through one (DESIGN.md
-/// §10).  The caller keeps ownership; a runner serves one fork at a time.
+/// Runs the lanes of a fork_join that the calling thread does not run:
+/// util::WorkerPool, the library's one thread pool (worker_pool.hpp).
+/// The caller keeps ownership; a runner serves one fork at a time.
 class LaneRunner {
  public:
   using Lane = std::function<void(int)>;
@@ -43,7 +45,7 @@ class LaneRunner {
   ~LaneRunner() = default;
 };
 
-/// The lane count of a loop striped over `items`: `threads` clamped to
+/// The lane count of a loop over `items`: `threads` clamped to
 /// [1, max(items, 1)], so no lane is left without an item.
 inline int lane_count(int threads, std::size_t items) {
   const std::size_t cap = std::max<std::size_t>(items, 1);

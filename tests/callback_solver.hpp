@@ -35,12 +35,18 @@ class CallbackSolver final : public api::Solver {
 
 /// Runs `hook` before every solve, then forwards the solve to `inner` —
 /// solve_epoch included, so a wrapped "sofda" session still makes the
-/// pipeline publish and price closure epochs (and lend their lanes to the
-/// workers).  It reports `inner`'s options, which the pipeline prices by.
+/// pipeline publish and price closure epochs.  With `hook_epoch_solves`
+/// false only plain solve() calls run the hook: in the pipeline those are
+/// a drill's recovery re-embeds.  It reports `inner`'s options, which the
+/// pipeline prices by.
 class EpochForwardingSolver final : public api::Solver {
  public:
-  EpochForwardingSolver(std::unique_ptr<api::Solver> inner, std::function<void()> hook)
-      : api::Solver(inner->options()), inner_(std::move(inner)), hook_(std::move(hook)) {}
+  EpochForwardingSolver(std::unique_ptr<api::Solver> inner, std::function<void()> hook,
+                        bool hook_epoch_solves = true)
+      : api::Solver(inner->options()),
+        inner_(std::move(inner)),
+        hook_(std::move(hook)),
+        hook_epoch_solves_(hook_epoch_solves) {}
 
   std::string_view name() const noexcept override { return inner_->name(); }
   bool wants_epoch_closure() const noexcept override { return inner_->wants_epoch_closure(); }
@@ -55,7 +61,7 @@ class EpochForwardingSolver final : public api::Solver {
 
   core::ServiceForest do_solve_epoch(const core::Problem& p, const api::ClosureEpoch& epoch,
                                      api::SolveReport& report) override {
-    hook_();
+    if (hook_epoch_solves_) hook_();
     core::ServiceForest f = inner_->solve_epoch(p, epoch);
     report = inner_->report();
     return f;
@@ -64,6 +70,7 @@ class EpochForwardingSolver final : public api::Solver {
  private:
   std::unique_ptr<api::Solver> inner_;
   std::function<void()> hook_;
+  bool hook_epoch_solves_;
 };
 
 }  // namespace sofe::test

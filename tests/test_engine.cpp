@@ -100,8 +100,9 @@ TEST_P(EngineRandom, RunMatchesOneShotDijkstraAndBellmanFord) {
   const int n = rng.uniform_int(5, 40);
   const Graph g = random_connected(rng, n, 0.15);
   ShortestPathEngine engine(g);
+  ShortestPathTree t;
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto& t = engine.run(s);
+    engine.run_into(s, t);
     const auto reference = dijkstra(g, s);
     const auto bf = bellman_ford(g, s);
     // Bit-identical to the one-shot free function, value-close to the oracle.
@@ -117,18 +118,21 @@ TEST_P(EngineRandom, RunMatchesOneShotDijkstraAndBellmanFord) {
 INSTANTIATE_TEST_SUITE_P(Seeds, EngineRandom, ::testing::Range(1, 9));
 
 TEST(Engine, RepeatedRunsLeaveNoResidue) {
-  // Earlier runs leave other sources' distances in the engine-owned arrays;
-  // the following run must be exact everywhere (the touched-list reset is
-  // what this pins down).
+  // Earlier runs leave other sources' labels in the engine's workspaces
+  // and their trees in the reused output; the following run must be exact
+  // everywhere.
   util::Rng rng(42);
   const Graph g = random_connected(rng, 60, 0.1);
   ShortestPathEngine engine(g);
   const auto baseline = dijkstra(g, 7);
-  (void)engine.run(3);
-  (void)engine.run(11);
-  const auto& t = engine.run(7);
+  ShortestPathTree t;
+  engine.run_into(3, t);
+  engine.run_into(11, t);
+  engine.run_into(7, t);
+  EXPECT_EQ(t.source, 7);
   EXPECT_EQ(t.dist, baseline.dist);
   EXPECT_EQ(t.parent, baseline.parent);
+  EXPECT_EQ(t.parent_edge, baseline.parent_edge);
 }
 
 TEST(Engine, UnreachableStaysInfinite) {
@@ -136,7 +140,8 @@ TEST(Engine, UnreachableStaysInfinite) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(2, 3, 1.0);
   ShortestPathEngine engine(g);
-  const auto& t = engine.run(0);
+  ShortestPathTree t;
+  engine.run_into(0, t);
   EXPECT_FALSE(t.reachable(2));
   EXPECT_FALSE(t.reachable(3));
   EXPECT_DOUBLE_EQ(t.distance(1), 1.0);
@@ -242,7 +247,8 @@ TEST(MultiSource, EngineAgreesWithFreeFunction) {
   const Graph g = random_connected(rng, 35, 0.15, /*integer_costs=*/true);
   const std::vector<NodeId> sources{0, 5, 6, 17};
   ShortestPathEngine engine(g);
-  (void)engine.run(3);  // dirty the workspaces first
+  ShortestPathTree dirty;
+  engine.run_into(3, dirty);  // dirty the workspaces first
   const auto& a = engine.run_multi(sources);
   const auto b = multi_source_dijkstra(g, sources);
   EXPECT_EQ(a.dist, b.dist);

@@ -23,6 +23,7 @@
 #include "sofe/kstroll/pricing.hpp"
 #include "sofe/kstroll/solver.hpp"
 #include "sofe/util/rng.hpp"
+#include "sofe/util/worker_pool.hpp"
 
 namespace sofe::kstroll {
 namespace {
@@ -479,14 +480,14 @@ TEST(PricingSession, BitIdenticalAcrossThreadCounts) {
   // the caller, or on parked pool threads), then subsets read back through
   // chains() — each bitwise the free function on that subset.
   test::ReverseRunner reverse;
-  test::PooledRunner pooled(2);
+  util::WorkerPool pooled(2);
   util::LaneRunner* const runners[] = {&reverse, &pooled};
   core::PricingSession lent[2];
   const std::vector<NodeId> subsets[] = {{8, 0}, {16, 4, 12}};
   const auto price_lent = [&](const core::ClosureUpdate& update,
                               const std::vector<core::PricedChain>& whole) {
     for (int i = 0; i < 2; ++i) {
-      SCOPED_TRACE(i == 0 ? "reverse runner" : "pooled runner");
+      SCOPED_TRACE(i == 0 ? "reverse runner" : "worker pool");
       EXPECT_TRUE(chains_equal(lent[i].price(p, mc, p.sources, update, {}, 3, nullptr, runners[i]),
                                whole));
       for (const auto& subset : subsets) {
@@ -529,7 +530,7 @@ TEST(PricingSession, RefreshThenChainsEqualsTwinPriceRestricted) {
   auto p = problem_for(f, {0, 3, 6, 10, 14}, 2);
   auto mc = closure_for_problem(p);
 
-  test::PooledRunner pooled(2);
+  util::WorkerPool pooled(2);
   core::PricingSession viewed;
   core::PricingSession priced;
   const std::vector<NodeId> subsets[] = {p.sources, {10, 0}, {14, 6, 3}};

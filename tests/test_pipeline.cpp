@@ -1,8 +1,8 @@
 // Epoch-pipelined admission service tests (DESIGN.md §10): worker-count
 // determinism against the sequential driver, including recurring sources
 // and mid-epoch departures, OnlineConfig validation, the price_epoch
-// generation dedup, and fault injection into both drivers (throwing and
-// stalling sessions).
+// generation dedup, fault injection into both drivers (throwing and
+// stalling sessions), and the pipeline's session count.
 
 #include <gtest/gtest.h>
 
@@ -283,6 +283,17 @@ TEST(PipelineValidation, RejectsDegenerateConfigs) {
   expect_rejected(cfg);
 }
 
+// run() serves its stream once.  A second call throws in every build type
+// instead of serving the consumed stream again.
+TEST(PipelineValidation, SecondRunThrows) {
+  const auto topo = topology::softlayer();
+  auto cfg = pipeline_config();
+  cfg.requests = 4;
+  Pipeline pipeline(topo, cfg, "sofda", {}, {});
+  (void)pipeline.run();
+  EXPECT_THROW((void)pipeline.run(), std::logic_error);
+}
+
 TEST(PipelineValidation, AcceptsTheDefaults) {
   EXPECT_NO_THROW(validate(OnlineConfig{}));
 }
@@ -362,8 +373,8 @@ void register_faulty_solver(std::function<void()> fault) {
       });
 }
 
-// A worker's solve throws: run() must stop the other workers and rethrow
-// that exception, at every worker count.
+// A lane's solve throws: run() must rethrow that exception once every
+// lane of the epoch has returned, at every worker count.
 TEST(PipelineFaults, WorkerSolveFaultIsRethrown) {
   const auto topo = topology::softlayer();
   auto cfg = pipeline_config();
@@ -380,42 +391,60 @@ TEST(PipelineFaults, WorkerSolveFaultIsRethrown) {
   }
 }
 
-// A solve on the thread that called run() throws.  In a drill that is the
-// recovery re-embed inside open_epoch, so the throw starts on the commit
-// thread while the workers are parked: run() must join them and rethrow
-// instead of unwinding past joinable threads.  The sequential driver runs
-// every solve on the calling thread and must rethrow too.
-TEST(PipelineFaults, CallingThreadFaultIsRethrownByBothDrivers) {
-  const auto topo = topology::softlayer();
-  auto cfg = pipeline_config();
-  cfg.epoch_size = 4;
-  // Request 0's first destination fails at the second epoch: request 0 is
-  // admitted by then and reaches it over an incident link, so that epoch's
-  // open must recover it.
+/// The drill of the calling-thread and session-count tests: request 0's
+/// first destination fails at the second epoch (epoch_size 4).  Request 0
+/// is admitted by then and reaches it over an incident link, so that
+/// epoch's open must recover it.
+resilience::FailurePlan destination_drill(const topology::Topology& topo,
+                                          const OnlineConfig& cfg) {
   const core::NodeId victim = ArrivalStream(topo, cfg).request(0).destinations.front();
   resilience::FailurePlan plan;
   plan.events.push_back(
       {resilience::FailureEvent::Target::kNode, victim, /*fail_at=*/4, /*heal_at=*/-1});
+  return plan;
+}
+
+// A solve on the thread that called run() throws.  The pipeline's slot
+// solves go through solve_epoch, lane 0's on the calling thread too, so
+// the session throws from plain solve() calls only: in the pipeline that
+// is the drill's recovery re-embed inside open_epoch, on the commit thread
+// between two phases.  run() must rethrow it, and the pool must join its
+// parked threads on the way out.  The sequential driver runs every solve
+// as a plain solve() on the calling thread and must rethrow too.
+TEST(PipelineFaults, CallingThreadFaultIsRethrownByBothDrivers) {
+  const auto topo = topology::softlayer();
+  auto cfg = pipeline_config();
+  cfg.epoch_size = 4;
+  const resilience::FailurePlan plan = destination_drill(topo, cfg);
   cfg.failures = &plan;
   const std::thread::id caller = std::this_thread::get_id();
-  register_faulty_solver([caller] {
-    if (std::this_thread::get_id() == caller) throw InjectedFault("solve on the calling thread");
-  });
+  api::SolverRegistry::global().add(
+      "test/recovery-fault", "sofda whose plain solves throw on the calling thread (test only)",
+      [caller](const api::SolverOptions& opt) {
+        return std::make_unique<test::EpochForwardingSolver>(
+            api::make_solver("sofda", opt),
+            [caller] {
+              if (std::this_thread::get_id() == caller) {
+                throw InjectedFault("solve on the calling thread");
+              }
+            },
+            /*hook_epoch_solves=*/false);
+      });
 
-  const auto solver = api::make_solver("test/faulty");
+  const auto solver = api::make_solver("test/recovery-fault");
   EXPECT_THROW(simulate(topo, cfg, *solver), InjectedFault);
   for (int workers : {1, 2, 8}) {
     SCOPED_TRACE("W=" + std::to_string(workers));
     PipelineOptions popt;
     popt.workers = workers;
-    EXPECT_THROW(Pipeline(topo, cfg, "test/faulty", {}, popt).run(), InjectedFault);
+    EXPECT_THROW(Pipeline(topo, cfg, "test/recovery-fault", {}, popt).run(), InjectedFault);
   }
 }
 
-// A worker stalls in the middle of an epoch (a slow solve on every fourth
+// A lane stalls in the middle of an epoch (a slow solve on every fourth
 // arrival) in a session that prices against the published closure epochs:
-// the drain before each publish must wait for the stalled worker, the
-// publish must then lend its lanes to every parked worker, and the series
+// the other lanes claim the slots behind it, the commit waits for the
+// stalled lane, the next publish runs on every pool thread, and the series
 // must stay bitwise the sequential driver's.
 TEST(PipelineFaults, StallingWorkerKeepsTheSeriesBitwise) {
   const auto topo = topology::softlayer();
@@ -441,6 +470,35 @@ TEST(PipelineFaults, StallingWorkerKeepsTheSeriesBitwise) {
     expect_series_identical(got, ref);
     EXPECT_GT(got.peak_closure_bytes, 0u);  // the epochs were published
     EXPECT_EQ(solves->load(), cfg.requests);
+  }
+}
+
+// The pipeline builds exactly `workers` solver sessions, one per solve lane
+// (lane 0's on the calling thread), plus one recovery session under a
+// failure drill; every session grows its own closure and workspaces.
+TEST(PipelineSessions, OneSessionPerWorkerPlusRecovery) {
+  const auto topo = topology::softlayer();
+  auto cfg = pipeline_config();
+  cfg.epoch_size = 4;
+  const resilience::FailurePlan plan = destination_drill(topo, cfg);
+  const auto built = std::make_shared<std::atomic<int>>(0);
+  api::SolverRegistry::global().add(
+      "test/counted", "sofda that counts its sessions (test only)",
+      [built](const api::SolverOptions& opt) {
+        built->fetch_add(1);
+        return api::make_solver("sofda", opt);
+      });
+  for (const bool drill : {false, true}) {
+    for (int workers : {1, 2, 8}) {
+      SCOPED_TRACE(std::string(drill ? "drill" : "no drill") + " W=" + std::to_string(workers));
+      auto run_cfg = cfg;
+      if (drill) run_cfg.failures = &plan;
+      PipelineOptions popt;
+      popt.workers = workers;
+      built->store(0);
+      (void)Pipeline(topo, run_cfg, "test/counted", {}, popt).run();
+      EXPECT_EQ(built->load(), workers + (drill ? 1 : 0));
+    }
   }
 }
 
