@@ -167,7 +167,8 @@ PanelMeasurement run_panel(const char* title, const sofe::topology::Topology& to
     if (re_pricing > 0.0 && inc_pricing > 0.0) {
       std::cout << "    pricing phase: " << sofe::util::Table::num(inc_pricing, 3)
                 << "s cached (" << m.incremental.pricing_hits() << " hits / "
-                << m.incremental.pricing_repriced() << " repriced, "
+                << m.incremental.pricing_repriced() << " repriced ("
+                << m.incremental.pricing_relabeled() << " relabeled), "
                 << m.incremental.pricing_flushes() << " flushes) vs "
                 << sofe::util::Table::num(re_pricing, 3) << "s cold table (x"
                 << sofe::util::Table::num(re_pricing / inc_pricing, 2) << ")\n";
@@ -290,6 +291,7 @@ void write_json(const std::vector<PanelMeasurement>& panels,
           << ",\"rebuilds\":" << m.incremental.rebuilds()
           << "},\"pricing_cache\":{\"hits\":" << m.incremental.pricing_hits()
           << ",\"repriced\":" << m.incremental.pricing_repriced()
+          << ",\"relabeled\":" << m.incremental.pricing_relabeled()
           << ",\"flushes\":" << m.incremental.pricing_flushes()
           << "},\"peak_closure_bytes\":" << m.incremental.peak_closure_bytes()
           << ",\"phases\":{";

@@ -90,7 +90,14 @@ int main(int argc, char** argv) {
     return 1;
   }
   const auto solver = api::make_solver(name);
-  const core::ServiceForest forest = solver->solve(p);
+  core::ServiceForest forest;
+  try {
+    forest = solver->solve(p);
+  } catch (const std::exception& e) {
+    // e.g. sofda/exact-stroll on an instance past the exact DP's limit.
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
   if (name == "exact") {
     if (!solver->report().optimal) {
       std::cerr << "exact solver could not prove optimality within limits\n";

@@ -89,6 +89,7 @@ class SofdaSolver final : public Solver {
     const std::vector<const core::ChainPlan*> candidates = chains_view(tally);
     r.pricing_hits = tally.hits;
     r.pricing_repriced = tally.repriced;
+    r.pricing_relabeled = tally.relabeled;
     r.pricing_flushed = tally.flushed;
     r.pricing_seconds = watch.seconds();
     watch.reset();

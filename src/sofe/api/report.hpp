@@ -44,6 +44,7 @@ class ReportAccumulator {
     if (!r.feasible) ++infeasible_;
     pricing_hits_ += static_cast<std::size_t>(r.pricing_hits);
     pricing_repriced_ += static_cast<std::size_t>(r.pricing_repriced);
+    pricing_relabeled_ += static_cast<std::size_t>(r.pricing_relabeled);
     if (r.pricing_flushed) ++pricing_flushes_;
     peak_closure_bytes_ = std::max(peak_closure_bytes_, r.closure_bytes);
   }
@@ -54,6 +55,7 @@ class ReportAccumulator {
   void add_pricing(const core::PricingTally& t) {
     pricing_hits_ += static_cast<std::size_t>(t.hits);
     pricing_repriced_ += static_cast<std::size_t>(t.repriced);
+    pricing_relabeled_ += static_cast<std::size_t>(t.relabeled);
     if (t.flushed) ++pricing_flushes_;
   }
 
@@ -84,6 +86,9 @@ class ReportAccumulator {
   /// Chains re-priced across all solves and epoch pricings (cold,
   /// invalidated, or flushed).
   std::size_t pricing_repriced() const noexcept { return pricing_repriced_; }
+  /// The re-priced chains filled by relabeling a twin's chain instead of
+  /// a k-stroll solve (a subset of pricing_repriced(); DESIGN.md §9).
+  std::size_t pricing_relabeled() const noexcept { return pricing_relabeled_; }
   /// Solves and epoch pricings on which the pricing cache dropped every
   /// cached chain.
   std::size_t pricing_flushes() const noexcept { return pricing_flushes_; }
@@ -132,6 +137,7 @@ class ReportAccumulator {
   std::size_t infeasible_ = 0;
   std::size_t pricing_hits_ = 0;
   std::size_t pricing_repriced_ = 0;
+  std::size_t pricing_relabeled_ = 0;
   std::size_t pricing_flushes_ = 0;
   std::size_t peak_closure_bytes_ = 0;
 };

@@ -113,6 +113,7 @@ struct SolveReport {
 
   int pricing_hits = 0;      // chains served from the pricing cache (§9)
   int pricing_repriced = 0;  //   chains re-priced this solve
+  int pricing_relabeled = 0;  //     of those, relabeled from a twin's chain
   bool pricing_flushed = false;  //   this solve dropped every cached chain
 
   int closure_row_hits = 0;       // inert, always 0; remove at the next benchmark change

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -145,10 +147,52 @@ void PricingSession::apply_update(const Problem& p, const ClosureUpdate& update,
   }
 }
 
+void PricingSession::find_twin_runs(const Problem& p) {
+  // Entry j extends entry j - 1's run when both VMs are zero-cost taps of
+  // one host and their setup costs agree bit for bit (DESIGN.md §9).
+  run_start_.resize(key_vms_.size());
+  NodeId prev_host = graph::kInvalidNode;
+  std::uint64_t prev_bits = 0;
+  for (std::size_t j = 0; j < key_vms_.size(); ++j) {
+    const NodeId v = key_vms_[j];
+    const graph::Arc tap = graph::zero_cost_tap(p.network, v);
+    const NodeId host = tap.edge != graph::kInvalidEdge ? tap.to : graph::kInvalidNode;
+    const auto bits = std::bit_cast<std::uint64_t>(p.node_cost[static_cast<std::size_t>(v)]);
+    const bool twin = host != graph::kInvalidNode && host == prev_host && bits == prev_bits;
+    run_start_[j] = twin ? run_start_[j - 1] : j;
+    prev_host = host;
+    prev_bits = bits;
+  }
+}
+
+void PricingSession::relabel(const Entry& from, std::size_t r, std::size_t j, Entry& to) const {
+  // π maps vms[r] to vms[j] and vms[i] to vms[i - 1] for r < i <= j, and
+  // fixes every other node.  It carries entry r's instance onto entry j's
+  // entry for entry, keeps the order of every index the stroll solvers
+  // scan, and maps each lift path onto the twin's — so the walk is π of
+  // entry r's, with the same vnf_pos, cost bits and feasibility.
+  const NodeId first = key_vms_[r];
+  const NodeId last = key_vms_[j];
+  const auto run_begin = key_vms_.begin() + static_cast<std::ptrdiff_t>(r);
+  const auto run_end = key_vms_.begin() + static_cast<std::ptrdiff_t>(j) + 1;
+  to.state = from.state;
+  to.plan = from.plan;
+  to.plan.last_vm = last;
+  for (NodeId& y : to.plan.nodes) {
+    if (y < first || y > last) continue;  // key_vms_ is sorted
+    if (y == first) {
+      y = last;
+      continue;
+    }
+    const auto it = std::lower_bound(run_begin, run_end, y);
+    if (it != run_end && *it == y) y = *(it - 1);
+  }
+}
+
 void PricingSession::price_source(const Problem& p, const graph::MetricClosure& closure,
                                   NodeId s, Bucket& bucket,
                                   kstroll::InstanceAssembler& assembler, const AlgoOptions& opt,
-                                  int& hits, int& repriced) {
+                                  PricingTally& tally) {
   // The shared-block assembly needs the main construction (zero source
   // setup) and a source outside the VM set; anything else re-prices
   // through the per-pair builder — same results, just not as fast.
@@ -159,7 +203,16 @@ void PricingSession::price_source(const Problem& p, const graph::MetricClosure& 
     if (u == s) continue;
     Entry& e = bucket.entries[j];
     if (e.state == Entry::State::kUnknown) {
-      ++repriced;
+      ++tally.repriced;
+      const std::size_t r = run_start_[j];
+      if (fast && r < j) {
+        // Entry r, cached or priced earlier in this loop, is a twin's
+        // chain under the current closure: rename it.
+        assert(bucket.entries[r].state != Entry::State::kUnknown);
+        relabel(bucket.entries[r], r, j, e);
+        ++tally.relabeled;
+        continue;
+      }
       if (fast) {
         // Mirrors plan_chain_walk: reachability gate, then the shared
         // Procedure-2 tail on the assembled instance.
@@ -179,7 +232,7 @@ void PricingSession::price_source(const Problem& p, const graph::MetricClosure& 
       }
       e.state = e.plan.feasible() ? Entry::State::kFeasible : Entry::State::kInfeasible;
     } else {
-      ++hits;
+      ++tally.hits;
     }
   }
 }
@@ -252,6 +305,8 @@ void PricingSession::refresh(const Problem& p, const graph::MetricClosure& closu
     if (costs_changed) node_cost_cache_ = p.node_cost;
   }
 
+  find_twin_runs(p);
+
   // --- 4. Materialize buckets for the requested sources, and bound the
   // session: on a long stream of fresh random sources (the Inet-scale
   // panels) every bucket holds |M| cached plans, so churned-out sources
@@ -296,21 +351,20 @@ void PricingSession::refresh(const Problem& p, const graph::MetricClosure& closu
   if (assemblers_.size() < static_cast<std::size_t>(lanes)) {
     assemblers_.resize(static_cast<std::size_t>(lanes));
   }
-  std::vector<int> per_hits(srcs.size(), 0);
-  std::vector<int> per_repriced(srcs.size(), 0);
+  std::vector<PricingTally> per_source(srcs.size());
 
   if (lanes > 1) p.network.ensure_csr();  // lift queries only read; keep csr() race-free
   std::atomic<std::size_t> next_source{0};
   util::fork_join(lanes, runner, [&](int lane) {
     for (std::size_t i; (i = next_source++) < srcs.size();) {
       price_source(p, closure, srcs[i], buckets_.at(srcs[i]),
-                   assemblers_[static_cast<std::size_t>(lane)], opt, per_hits[i],
-                   per_repriced[i]);
+                   assemblers_[static_cast<std::size_t>(lane)], opt, per_source[i]);
     }
   });
-  for (std::size_t i = 0; i < srcs.size(); ++i) {
-    t.hits += per_hits[i];
-    t.repriced += per_repriced[i];
+  for (const PricingTally& st : per_source) {
+    t.hits += st.hits;
+    t.repriced += st.repriced;
+    t.relabeled += st.relabeled;
   }
 }
 

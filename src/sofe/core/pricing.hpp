@@ -33,6 +33,15 @@
 //     one of its lift-path segments — which catches the equal-cost
 //     plateau trap where a parent flips while every distance survives;
 //   * everything untouched                      -> cache hit, zero work.
+//
+// Twin runs (DESIGN.md §9): the online model hangs vms_per_dc VMs off each
+// DC host by zero-cost links at one host price, so most re-priced chains
+// have a twin whose chain is theirs up to renaming.  Every refresh() splits
+// the VM list into runs of consecutive zero-cost taps of one host with
+// bit-equal setup costs; on the shared-block path a re-priced entry whose
+// run starts before it is filled by relabeling the run start's chain — no
+// stroll solve, lift or cost sum — and the result is still bitwise the
+// per-pair one.
 
 #include <cstdint>
 #include <span>
@@ -76,6 +85,7 @@ struct ClosureUpdate {
 struct PricingTally {
   int hits = 0;        // chains served from cache, bitwise unchanged
   int repriced = 0;    // chains re-priced (cold, invalidated, or flushed)
+  int relabeled = 0;   //   of those, filled by relabeling a twin's chain
   bool flushed = false;  // this call dropped every cached chain
 };
 
@@ -169,9 +179,11 @@ class PricingSession {
   void apply_update(const Problem& p, const ClosureUpdate& update, PricingTally& tally);
   bool lift_stale(const ChainPlan& plan);
   const std::vector<std::uint8_t>& row_marks(const graph::MetricClosure::RowDelta& row);
+  void find_twin_runs(const Problem& p);
+  void relabel(const Entry& from, std::size_t r, std::size_t j, Entry& to) const;
   void price_source(const Problem& p, const graph::MetricClosure& closure, NodeId s,
                     Bucket& bucket, kstroll::InstanceAssembler& assembler,
-                    const AlgoOptions& opt, int& hits, int& repriced);
+                    const AlgoOptions& opt, PricingTally& tally);
 
   // Epoch-mode state (price_epoch): the last generation whose update this
   // session consumed.  Reset by refresh() so mode switches never replay or
@@ -191,6 +203,10 @@ class PricingSession {
 
   kstroll::SharedVmBlock block_;
   std::unordered_map<NodeId, std::size_t> vm_pos_;  // VM -> index in key_vms_
+  // Per key_vms_ entry: the index of the first entry of its twin run
+  // (itself when it starts one).  Recomputed by every refresh(): host
+  // prices, and with them the setup-cost bits, move between calls.
+  std::vector<std::size_t> run_start_;
   std::unordered_map<NodeId, Bucket> buckets_;
 
   std::vector<kstroll::InstanceAssembler> assemblers_;  // one per worker

@@ -231,4 +231,17 @@ class Graph {
   mutable CsrCache csr_;
 };
 
+/// The single zero-cost arc of a degree-1 node, or Arc{} (edge ==
+/// kInvalidEdge).  Such a "tap" — the library's canonical VM attachment
+/// (topology::make_problem, the online model's vms_per_dc VMs per DC) —
+/// shares every shortest path with the arc's head, its host: MetricClosure
+/// derives tap trees from the host's (DESIGN.md §13), and
+/// core::PricingSession relabels one twin tap's chain onto the next
+/// (DESIGN.md §9).
+inline Arc zero_cost_tap(const Graph& g, NodeId v) {
+  const auto arcs = g.neighbors(v);
+  if (arcs.size() == 1 && g.edge(arcs[0].edge).cost == 0.0) return arcs[0];
+  return Arc{};
+}
+
 }  // namespace sofe::graph

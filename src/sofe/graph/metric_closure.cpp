@@ -11,18 +11,6 @@
 
 namespace sofe::graph {
 
-namespace {
-
-/// The single zero-cost arc of a degree-1 hub, or kInvalidEdge.
-/// Such a "tap" hub shares all shortest paths with the arc's head.
-Arc zero_cost_tap(const Graph& g, NodeId v) {
-  const auto arcs = g.neighbors(v);
-  if (arcs.size() == 1 && g.edge(arcs[0].edge).cost == 0.0) return arcs[0];
-  return Arc{};
-}
-
-}  // namespace
-
 // Tap derivation on rows.  Why it is exact, bit for bit: every path out of
 // tap v is v -e-> h -> ..., and e costs zero, so 0.0 + d == d leaves every
 // label, comparison and settle-order key of the host's run unchanged — the

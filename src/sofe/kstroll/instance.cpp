@@ -28,7 +28,7 @@ StrollInstance build_stroll_instance(const Graph& g, const MetricClosure& closur
   const Cost cu = node_cost[static_cast<std::size_t>(u)];
   auto setup = [&](NodeId v) { return node_cost[static_cast<std::size_t>(v)]; };
 
-  inst.cost.assign(n, std::vector<Cost>(n, 0.0));
+  inst.cost.assign(n * n, 0.0);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = a + 1; b < n; ++b) {
       const NodeId v1 = inst.nodes[a];
@@ -63,7 +63,7 @@ StrollInstance build_stroll_instance(const Graph& g, const MetricClosure& closur
           share = (setup(v1) + setup(v2)) / 2.0;
         }
       }
-      inst.cost[a][b] = inst.cost[b][a] = base + share;
+      inst.cost[a * n + b] = inst.cost[b * n + a] = base + share;
     }
   }
   return inst;

@@ -36,13 +36,14 @@ struct StrollInstance {
   NodeId last_vm = graph::kInvalidNode;  // u in G
   std::vector<NodeId> nodes;             // instance nodes; nodes[0] == s
   std::size_t last_index = 0;            // index of u in `nodes`
-  std::vector<std::vector<Cost>> cost;   // dense symmetric cost matrix
+  std::vector<Cost> cost;                // dense symmetric matrix, row-major
+                                         // size() x size()
 
   std::size_t size() const noexcept { return nodes.size(); }
 
   Cost edge_cost(std::size_t a, std::size_t b) const {
     assert(a < size() && b < size());
-    return cost[a][b];
+    return cost[a * size() + b];
   }
 
   /// Cost of a simple path through instance indices (diagnostics/tests).

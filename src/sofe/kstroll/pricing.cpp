@@ -41,14 +41,13 @@ void InstanceAssembler::bind_source(const SharedVmBlock& block, const MetricClos
   inst_.nodes.push_back(s);
   inst_.nodes.insert(inst_.nodes.end(), vms.begin(), vms.end());
 
-  inst_.cost.resize(n);
-  for (auto& row : inst_.cost) row.resize(n);
-  inst_.cost[0][0] = 0.0;
-  const std::vector<Cost>& block_values = block.values();
-  for (std::size_t i = 0; i < m; ++i) {
-    std::copy(block_values.begin() + static_cast<std::ptrdiff_t>(i * m),
-              block_values.begin() + static_cast<std::ptrdiff_t>((i + 1) * m),
-              inst_.cost[i + 1].begin() + 1);
+  // Row i + 1 of the instance is [source entry] + block row i; the source
+  // row and column are written per last VM by with_last_vm.
+  inst_.cost.resize(n * n);
+  inst_.cost[0] = 0.0;
+  const Cost* block_row = block.values().data();
+  for (std::size_t i = 0; i < m; ++i, block_row += m) {
+    std::copy(block_row, block_row + m, inst_.cost.data() + (i + 1) * n + 1);
   }
 
   const auto& source_tree = closure.tree(s);
@@ -61,12 +60,12 @@ const StrollInstance& InstanceAssembler::with_last_vm(std::size_t vm_index, Node
                                                       const std::vector<Cost>& node_cost) {
   assert(bound_ && "bind_source first");
   assert(vm_index + 1 < inst_.nodes.size() && inst_.nodes[vm_index + 1] == u);
-  const std::size_t m = inst_.nodes.size() - 1;
+  const std::size_t n = inst_.nodes.size();
   const Cost cu = node_cost[static_cast<std::size_t>(u)];
-  for (std::size_t j = 0; j < m; ++j) {
+  for (std::size_t j = 1; j < n; ++j) {
     // build_stroll_instance's v1 == s branch: base + (c(u) + c(v2)) / 2.
-    const Cost share = (cu + node_cost[static_cast<std::size_t>(inst_.nodes[j + 1])]) / 2.0;
-    inst_.cost[0][j + 1] = inst_.cost[j + 1][0] = base_row_[j] + share;
+    const Cost share = (cu + node_cost[static_cast<std::size_t>(inst_.nodes[j])]) / 2.0;
+    inst_.cost[j] = inst_.cost[j * n] = base_row_[j - 1] + share;
   }
   inst_.last_vm = u;
   inst_.last_index = vm_index + 1;

@@ -14,13 +14,20 @@
 //     pair instead of O(|M|²).
 //
 // build_stroll_instance recomputes the full matrix per pair — with one
-// closure hash lookup per entry and |M|+1 vector allocations per call.  On
+// closure hash lookup per entry and a fresh (|M|+1)² matrix per call.  On
 // an online arrival stream that construction dominates SOFDA's wall clock;
 // the classes here assemble bitwise-identical instances (tested) from a
 // session-cached block: SharedVmBlock is rebuilt only when a VM's setup
 // cost or a closure row changed at a VM, InstanceAssembler copies it once
 // per source and rewrites only the source row per last VM, reusing all
 // storage.  core::PricingSession drives both across arrivals.
+//
+// Twin VMs — zero-cost taps of one host with bit-equal setup costs, the
+// online model's vms_per_dc VMs per DC — have equal rows and columns in
+// every instance, so the instance for one twin as last VM is the other's
+// with the twins' indices permuted.  core::PricingSession therefore
+// assembles one instance per (source, run of adjacent twins) and relabels
+// the run's other chains instead of assembling theirs (DESIGN.md §9).
 
 #include <vector>
 

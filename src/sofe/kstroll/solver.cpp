@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace sofe::kstroll {
 
@@ -17,6 +19,10 @@ Cost recompute(const StrollInstance& inst, const std::vector<std::size_t>& order
   return sum;
 }
 
+/// improve_stroll on marks the caller already holds: `used[x]` is set
+/// exactly for the nodes of s.order, before and after.
+void improve_marked(const StrollInstance& inst, Stroll& s, std::vector<std::uint8_t>& used);
+
 }  // namespace
 
 Stroll cheapest_insertion(const StrollInstance& inst, int k) {
@@ -26,8 +32,8 @@ Stroll cheapest_insertion(const StrollInstance& inst, int k) {
 
   Stroll s;
   s.order = {kSourceIndex, inst.last_index};
-  std::vector<bool> used(n, false);
-  used[kSourceIndex] = used[inst.last_index] = true;
+  std::vector<std::uint8_t> used(n, 0);
+  used[kSourceIndex] = used[inst.last_index] = 1;
 
   while (s.order.size() < static_cast<std::size_t>(k)) {
     // Pick (node, gap) with minimal insertion delta.
@@ -50,19 +56,25 @@ Stroll cheapest_insertion(const StrollInstance& inst, int k) {
     // fewer than k nodes (e.g. VMs cut off by +inf failed links).
     if (best_node == n) return {};
     s.order.insert(s.order.begin() + static_cast<std::ptrdiff_t>(best_gap) + 1, best_node);
-    used[best_node] = true;
+    used[best_node] = 1;
   }
   s.cost = recompute(inst, s.order);
-  improve_stroll(inst, s);
+  improve_marked(inst, s, used);
   return s;
 }
 
 void improve_stroll(const StrollInstance& inst, Stroll& s) {
+  std::vector<std::uint8_t> used(inst.size(), 0);
+  for (std::size_t x : s.order) used[x] = 1;
+  improve_marked(inst, s, used);
+}
+
+namespace {
+
+void improve_marked(const StrollInstance& inst, Stroll& s, std::vector<std::uint8_t>& used) {
   const std::size_t n = inst.size();
   const std::size_t m = s.order.size();
   if (m < 3) return;
-  std::vector<bool> used(n, false);
-  for (std::size_t x : s.order) used[x] = true;
 
   constexpr Cost kEps = 1e-12;
   bool improved = true;
@@ -111,8 +123,8 @@ void improve_stroll(const StrollInstance& inst, Stroll& s) {
         if (used[x]) continue;
         const Cost there = inst.edge_cost(s.order[i - 1], x) + inst.edge_cost(x, s.order[i + 1]);
         if (there + kEps < here) {
-          used[s.order[i]] = false;
-          used[x] = true;
+          used[s.order[i]] = 0;
+          used[x] = 1;
           s.order[i] = x;
           improved = true;
           break;
@@ -122,6 +134,8 @@ void improve_stroll(const StrollInstance& inst, Stroll& s) {
   }
   s.cost = recompute(inst, s.order);
 }
+
+}  // namespace
 
 Stroll exact_dp(const StrollInstance& inst, int k) {
   assert(k >= 2);
@@ -140,16 +154,25 @@ Stroll exact_dp(const StrollInstance& inst, int k) {
     if (i != kSourceIndex && i != inst.last_index) cand.push_back(i);
   }
   const std::size_t c = cand.size();
-  assert(c <= 22 && "exact_dp is exponential in instance size");
+  if (c > kMaxExactCandidates) {
+    // The DP holds 2^c * c labels of 9 bytes: 22 candidates already take
+    // about 0.8 GB, 24 about 3.6 GB, and 32 would overflow the mask.
+    throw std::invalid_argument(
+        "exact_dp: an instance of " + std::to_string(n) + " nodes has " + std::to_string(c) +
+        " interior candidates, past the exact k-stroll DP's limit of " +
+        std::to_string(kMaxExactCandidates));
+  }
   const std::size_t need = static_cast<std::size_t>(k) - 2;  // interior nodes to pick
   if (c < need) return {};
 
-  // dp[mask][j] = cheapest path source -> (visits exactly `mask`) -> cand[j].
+  // dp[mask * c + j] = cheapest path source -> (visits exactly `mask`) ->
+  // cand[j]; pre holds the predecessor candidate on the same index.
   const std::uint32_t full = (1u << c) - 1u;
-  std::vector<std::vector<Cost>> dp(full + 1, std::vector<Cost>(c, graph::kInfiniteCost));
-  std::vector<std::vector<std::int8_t>> pre(full + 1, std::vector<std::int8_t>(c, -1));
+  const auto at = [c](std::uint32_t mask, std::size_t j) { return mask * c + j; };
+  std::vector<Cost> dp((static_cast<std::size_t>(full) + 1) * c, graph::kInfiniteCost);
+  std::vector<std::int8_t> pre(dp.size(), -1);
   for (std::size_t j = 0; j < c; ++j) {
-    dp[1u << j][j] = inst.edge_cost(kSourceIndex, cand[j]);
+    dp[at(1u << j, j)] = inst.edge_cost(kSourceIndex, cand[j]);
   }
   Cost best = graph::kInfiniteCost;
   std::uint32_t best_mask = 0;
@@ -158,9 +181,10 @@ Stroll exact_dp(const StrollInstance& inst, int k) {
     const int pc = std::popcount(mask);
     if (static_cast<std::size_t>(pc) > need) continue;
     for (std::size_t j = 0; j < c; ++j) {
-      if (!(mask & (1u << j)) || dp[mask][j] == graph::kInfiniteCost) continue;
+      const Cost here = dp[at(mask, j)];
+      if (!(mask & (1u << j)) || here == graph::kInfiniteCost) continue;
       if (static_cast<std::size_t>(pc) == need) {
-        const Cost total = dp[mask][j] + inst.edge_cost(cand[j], inst.last_index);
+        const Cost total = here + inst.edge_cost(cand[j], inst.last_index);
         if (total < best) {
           best = total;
           best_mask = mask;
@@ -170,11 +194,11 @@ Stroll exact_dp(const StrollInstance& inst, int k) {
       }
       for (std::size_t x = 0; x < c; ++x) {
         if (mask & (1u << x)) continue;
-        const Cost nd = dp[mask][j] + inst.edge_cost(cand[j], cand[x]);
-        const std::uint32_t nm = mask | (1u << x);
-        if (nd < dp[nm][x]) {
-          dp[nm][x] = nd;
-          pre[nm][x] = static_cast<std::int8_t>(j);
+        const Cost nd = here + inst.edge_cost(cand[j], cand[x]);
+        const std::size_t next = at(mask | (1u << x), x);
+        if (nd < dp[next]) {
+          dp[next] = nd;
+          pre[next] = static_cast<std::int8_t>(j);
         }
       }
     }
@@ -188,7 +212,7 @@ Stroll exact_dp(const StrollInstance& inst, int k) {
   std::size_t j = best_last;
   while (true) {
     rev.push_back(cand[j]);
-    const std::int8_t p = pre[mask][j];
+    const std::int8_t p = pre[at(mask, j)];
     mask ^= (1u << j);
     if (p < 0) break;
     j = static_cast<std::size_t>(p);

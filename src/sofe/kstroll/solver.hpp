@@ -31,16 +31,24 @@ struct Stroll {
 
 enum class StrollAlgorithm {
   kCheapestInsertion,  // greedy insertion + local search (default)
-  kExactDp,            // exact subset DP; instance size must be <= ~20
+  kExactDp,            // exact subset DP; see kMaxExactCandidates
 };
+
+/// exact_dp's limit on interior candidates (instance nodes other than the
+/// source and the last VM), i.e. instances of at most 24 nodes: its table
+/// grows as 2^c * c.
+inline constexpr std::size_t kMaxExactCandidates = 22;
 
 /// Solves for a stroll on exactly k distinct nodes (k >= 2).  Returns an
 /// infeasible Stroll when the instance has fewer than k nodes, or fewer
-/// than k at finite cost from the source and the last VM.
+/// than k at finite cost from the source and the last VM.  kExactDp throws
+/// like exact_dp on instances past its limit.
 Stroll solve_stroll(const StrollInstance& inst, int k,
                     StrollAlgorithm algo = StrollAlgorithm::kCheapestInsertion);
 
-/// Exposed pieces for tests/ablation.
+/// Exposed pieces for tests/ablation.  exact_dp throws
+/// std::invalid_argument when k >= 3 and the instance has more than
+/// kMaxExactCandidates interior candidates.
 Stroll cheapest_insertion(const StrollInstance& inst, int k);
 Stroll exact_dp(const StrollInstance& inst, int k);
 

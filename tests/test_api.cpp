@@ -183,6 +183,15 @@ TEST(Registry, UnknownNameThrows) {
   EXPECT_FALSE(SolverRegistry::global().contains("no-such-solver"));
 }
 
+TEST(Registry, ExactStrollThrowsPastTheDpLimit) {
+  // The library's default instance has 25 VMs, so every stroll instance
+  // has 24 interior candidates, past exact_dp's limit: the solve must
+  // throw, not abort or reach for gigabytes of DP table.
+  const auto p = topology::make_problem(topology::softlayer(), topology::ProblemConfig{});
+  ASSERT_EQ(p.vms().size(), 25u);
+  EXPECT_THROW((void)make_solver("sofda/exact-stroll")->solve(p), std::invalid_argument);
+}
+
 TEST(Registry, CallersCanRegisterTheirOwnFactories) {
   SolverRegistry reg;  // private registry; the global one stays untouched
   class Null final : public api::Solver {

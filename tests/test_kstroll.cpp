@@ -4,16 +4,19 @@
 // (DESIGN.md §9): shared-block instance assembly bitwise vs the per-pair
 // builder, and the PricingSession's cache hit/invalidate semantics across
 // repair vs rebuild vs extend, departure cost restores, thread counts and
-// lent lane runners, the equal-cost parent-flip traps, and the read-only
-// chains() view into the table (bitwise the values price() returns).
+// lent lane runners, the equal-cost parent-flip traps, the read-only
+// chains() view into the table (bitwise the values price() returns), and
+// twin-run relabeling against the per-pair reference.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "lane_runners.hpp"
 #include "sofe/core/pricing.hpp"
@@ -22,6 +25,7 @@
 #include "sofe/kstroll/instance.hpp"
 #include "sofe/kstroll/pricing.hpp"
 #include "sofe/kstroll/solver.hpp"
+#include "sofe/topology/topology.hpp"
 #include "sofe/util/rng.hpp"
 #include "sofe/util/worker_pool.hpp"
 
@@ -158,11 +162,11 @@ TEST(StrollSolver, InfeasibleWhenTooFewNodesAtFiniteCost) {
   inst.last_vm = 11;
   inst.nodes = {10, 11, 12, 13, 14};
   inst.last_index = 1;
-  inst.cost = {{0.0, 2.0, 1.0, kInf, kInf},
-               {2.0, 0.0, 1.0, kInf, kInf},
-               {1.0, 1.0, 0.0, kInf, kInf},
-               {kInf, kInf, kInf, 0.0, 1.0},
-               {kInf, kInf, kInf, 1.0, 0.0}};
+  inst.cost = {0.0,  2.0,  1.0,  kInf, kInf,  //
+               2.0,  0.0,  1.0,  kInf, kInf,  //
+               1.0,  1.0,  0.0,  kInf, kInf,  //
+               kInf, kInf, kInf, 0.0,  1.0,   //
+               kInf, kInf, kInf, 1.0,  0.0};
   EXPECT_FALSE(cheapest_insertion(inst, 4).feasible());
   EXPECT_FALSE(exact_dp(inst, 4).feasible());
   EXPECT_FALSE(solve_stroll(inst, 4).feasible());
@@ -272,7 +276,7 @@ TEST(SharedInstanceAssembly, BitwiseEqualToPerPairBuilder) {
     ASSERT_EQ(got.last_index, expect.last_index);
     for (std::size_t a = 0; a < expect.size(); ++a) {
       for (std::size_t b = 0; b < expect.size(); ++b) {
-        EXPECT_EQ(got.cost[a][b], expect.cost[a][b])  // bitwise: == on doubles
+        EXPECT_EQ(got.edge_cost(a, b), expect.edge_cost(a, b))  // bitwise: == on doubles
             << "entry (" << a << ", " << b << ") for last VM " << u;
       }
     }
@@ -725,6 +729,169 @@ TEST(PricingSession, SetupCostChangeFlushesMultiVnfChains) {
   EXPECT_TRUE(tally.flushed);
   EXPECT_EQ(tally.hits, 0);
   EXPECT_TRUE(chains_equal(got, core::price_candidate_chains(p, mc, p.sources)));
+}
+
+// ---------------------------------------------------------------------------
+// Twin runs (DESIGN.md §9)
+
+enum class TwinLayout {
+  kContiguous,   // each DC's VMs numbered consecutively: the online model
+  kInterleaved,  // VMs dealt round-robin over the DCs: no two twins adjacent
+  kNudged,       // contiguous, the middle VM of each DC one ulp dearer
+};
+
+/// An online-model master: `topo` with five VMs on each of its first `dcs`
+/// data centers by zero-cost links and one setup cost per DC, three access
+/// nodes as sources.  Unit links (and integer setup costs) make twins tie
+/// bitwise with non-twins; otherwise link and setup costs are random reals.
+core::Problem twin_master(const topology::Topology& topo, std::size_t dcs, TwinLayout layout,
+                          bool unit_links, int chain_length, std::uint64_t seed) {
+  constexpr int kVmsPerDc = 5;
+  util::Rng rng(seed);
+  core::Problem p;
+  p.network = topo.g;
+  const NodeId access = p.network.node_count();
+  for (core::EdgeId e = 0; e < p.network.edge_count(); ++e) {
+    p.network.set_edge_cost(e, unit_links ? 1.0 : rng.uniform(0.5, 10.0));
+  }
+  p.node_cost.assign(static_cast<std::size_t>(access), 0.0);
+  p.is_vm.assign(static_cast<std::size_t>(access), 0);
+  std::vector<Cost> dc_cost(dcs);
+  for (Cost& c : dc_cost) c = unit_links ? rng.uniform_int(1, 3) : rng.uniform(1.0, 20.0);
+  const auto add_vm = [&](std::size_t dc, int i) {
+    const NodeId vm = p.network.add_node();
+    p.network.add_edge(vm, topo.dc_nodes[dc], 0.0);
+    const bool nudge = layout == TwinLayout::kNudged && i == kVmsPerDc / 2;
+    p.node_cost.push_back(nudge ? std::nextafter(dc_cost[dc], 100.0) : dc_cost[dc]);
+    p.is_vm.push_back(1);
+  };
+  if (layout == TwinLayout::kInterleaved) {
+    for (int i = 0; i < kVmsPerDc; ++i) {
+      for (std::size_t dc = 0; dc < dcs; ++dc) add_vm(dc, i);
+    }
+  } else {
+    for (std::size_t dc = 0; dc < dcs; ++dc) {
+      for (int i = 0; i < kVmsPerDc; ++i) add_vm(dc, i);
+    }
+  }
+  for (std::size_t v : rng.sample_without_replacement(static_cast<std::size_t>(access), 3)) {
+    p.sources.push_back(static_cast<NodeId>(v));
+  }
+  p.destinations = {p.sources.front()};
+  p.chain_length = chain_length;
+  return p;
+}
+
+// Twin-run relabeling against the per-pair reference on online-model
+// masters (SoftLayer 17 x 5 VMs, Cogent 40 x 5, and 3 DCs x 5 for the
+// exact DP), |C| 1-4, three VM layouts, unit or random links: a cold
+// refresh, three repair rounds, and at |C| = 1 a setup-cost move, on
+// sessions at 1, 2 and 8 threads and on a worker pool.  Every table must
+// equal price_candidate_chains bitwise.  Contiguous runs of five relabel
+// four chains in five on a cold table; interleaved twins are never
+// adjacent and must not relabel at all, and nudged DCs split into runs.
+TEST(PricingSession, TwinRunsMatchPerPairPricing) {
+  struct Master {
+    const char* name;
+    topology::Topology topo;
+    std::size_t dcs;
+    std::vector<StrollAlgorithm> algos;
+  };
+  const topology::Topology softlayer = topology::softlayer();
+  const topology::Topology cogent = topology::cogent();
+  const Master masters[] = {
+      {"softlayer", softlayer, softlayer.dc_nodes.size(), {StrollAlgorithm::kCheapestInsertion}},
+      {"cogent", cogent, cogent.dc_nodes.size(), {StrollAlgorithm::kCheapestInsertion}},
+      {"softlayer-3dc", softlayer, 3,
+       {StrollAlgorithm::kCheapestInsertion, StrollAlgorithm::kExactDp}},
+  };
+  util::WorkerPool pool(2);
+  const int threads[] = {1, 2, 8, 3};
+  util::LaneRunner* const runners[] = {nullptr, nullptr, nullptr, &pool};
+
+  std::uint64_t seed = 24000;
+  for (const Master& m : masters) {
+    for (const StrollAlgorithm algo : m.algos) {
+      for (const TwinLayout layout :
+           {TwinLayout::kContiguous, TwinLayout::kInterleaved, TwinLayout::kNudged}) {
+        for (const bool unit_links : {true, false}) {
+          for (int chain = 1; chain <= 4; ++chain) {
+            ++seed;
+            SCOPED_TRACE(std::string(m.name) + " algo " + std::to_string(static_cast<int>(algo)) +
+                         " layout " + std::to_string(static_cast<int>(layout)) +
+                         (unit_links ? " unit" : " random") + " |C| " + std::to_string(chain));
+            auto p = twin_master(m.topo, m.dcs, layout, unit_links, chain, seed);
+            auto mc = closure_for_problem(p);
+            core::AlgoOptions opt;
+            opt.stroll = algo;
+            util::Rng rng(seed ^ 0x7717);
+
+            core::PricingSession sessions[4];
+            int relabeled = 0;
+            core::PricingTally first;  // session 0's tally of the last round
+            const auto round = [&](const core::ClosureUpdate& update, const char* what) {
+              SCOPED_TRACE(what);
+              // The per-pair reference is most of this test's run time, so it
+              // prices its three sources on three lanes: bitwise the serial
+              // table (ParallelPricing.BitIdenticalForThreads128OnInet).
+              const auto expect = core::price_candidate_chains(p, mc, p.sources, opt, 3);
+              for (int i = 0; i < 4; ++i) {
+                core::PricingTally tally;
+                sessions[i].refresh(p, mc, p.sources, update, opt, threads[i], &tally,
+                                    runners[i]);
+                ASSERT_TRUE(chains_equal(sessions[i].chains(p.sources), expect))
+                    << "session " << i;
+                EXPECT_LE(tally.relabeled, tally.repriced);
+                if (i == 0) {
+                  first = tally;
+                } else {
+                  EXPECT_EQ(tally.repriced, first.repriced);
+                  EXPECT_EQ(tally.relabeled, first.relabeled);
+                }
+              }
+              relabeled += first.relabeled;
+            };
+
+            round(core::ClosureUpdate::rebuilt(), "cold");
+            if (layout == TwinLayout::kContiguous) {
+              EXPECT_EQ(first.relabeled * 5, first.repriced * 4);  // runs of five
+            }
+            for (int r = 0; r < 3; ++r) {
+              std::vector<graph::EdgeCostDelta> deltas;
+              for (std::size_t e : rng.sample_without_replacement(m.topo.g.edges().size(), 3)) {
+                const auto edge = static_cast<core::EdgeId>(e);
+                const Cost old_cost = p.network.edge(edge).cost;
+                p.network.set_edge_cost(
+                    edge, unit_links ? old_cost + 1.0 : old_cost * rng.uniform(0.5, 2.0));
+                deltas.push_back({edge, old_cost, p.network.edge(edge).cost});
+              }
+              std::vector<graph::MetricClosure::RowDelta> rows;
+              mc.refresh(p.network, deltas, 1, nullptr, &rows);
+              core::ClosureUpdate update;
+              update.kind = core::ClosureUpdate::Kind::kRepaired;
+              update.rows = rows;
+              round(update, "repair");
+            }
+            if (chain == 1) {
+              // A DC's host price moves: its five VMs move together.
+              const NodeId host = m.topo.dc_nodes[0];
+              for (const graph::Arc& a : p.network.neighbors(host)) {
+                if (p.is_vm[static_cast<std::size_t>(a.to)]) {
+                  p.node_cost[static_cast<std::size_t>(a.to)] += 1.0;
+                }
+              }
+              round(core::ClosureUpdate::unchanged(), "setup move");
+            }
+            if (layout == TwinLayout::kInterleaved) {
+              EXPECT_EQ(relabeled, 0);
+            } else {
+              EXPECT_GT(relabeled, 0);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
